@@ -4,9 +4,9 @@
 // epsilon-dominance merge factor on the largest world. The paper notes
 // the Pareto search is the expensive step its route merging exists to
 // tame; this bench tracks what the budget pruning actually saves
-// (labels created, queue pops, latency) and what an approximate merge
-// costs in Pareto coverage. Writes BENCH_mlc.json for CI trend
-// tracking (tools/bench_compare.py gates on it).
+// (labels created, queue pops, dominance checks, latency) and what an
+// approximate merge costs in Pareto coverage. Writes BENCH_mlc.json for
+// CI trend tracking (tools/bench_compare.py gates on it).
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
@@ -78,6 +78,7 @@ struct Sample {
   std::size_t labels_merged_epsilon = 0;
   std::size_t queue_pops = 0;
   std::size_t pareto_size = 0;
+  std::size_t dominance_checks = 0;  ///< bag rows the insert scans read
 };
 
 /// Best-of-`repeats` search at one configuration; stats come from the
@@ -108,6 +109,7 @@ Sample run_config(int n, bool prune, double epsilon, int repeats) {
       s.labels_merged_epsilon = result.stats.labels_merged_epsilon;
       s.queue_pops = result.stats.queue_pops;
       s.pareto_size = result.stats.pareto_size;
+      s.dominance_checks = result.stats.dominance_checks;
     }
   }
   s.queries_per_second = s.search_seconds > 0.0 ? 1.0 / s.search_seconds : 0.0;
@@ -170,16 +172,17 @@ int main(int argc, char** argv) {
   std::vector<Sample> samples;
   std::printf("corner-to-corner searches, time budget 1.1x, 10:00, "
               "best of %d\n\n", repeats);
-  std::printf("%4s %9s %8s %9s %8s %10s %10s %7s\n", "n", "mode",
-              "ms", "lb_ms", "labels", "pruned", "pops", "pareto");
+  std::printf("%4s %9s %8s %9s %8s %10s %10s %7s %10s\n", "n", "mode",
+              "ms", "lb_ms", "labels", "pruned", "pops", "pareto", "checks");
   for (const int n : sizes) {
     for (const bool prune : {false, true}) {
       const Sample s = run_config(n, prune, 0.0, repeats);
       samples.push_back(s);
-      std::printf("%4d %9s %8.2f %9.3f %8zu %10zu %10zu %7zu\n", s.n,
+      std::printf("%4d %9s %8.2f %9.3f %8zu %10zu %10zu %7zu %10zu\n", s.n,
                   s.mode, s.search_seconds * 1e3,
                   s.lower_bound_seconds * 1e3, s.labels_created,
-                  s.labels_pruned_bound, s.queue_pops, s.pareto_size);
+                  s.labels_pruned_bound, s.queue_pops, s.pareto_size,
+                  s.dominance_checks);
     }
   }
 
@@ -204,18 +207,18 @@ int main(int argc, char** argv) {
   };
   std::vector<EpsSample> sweep;
   std::printf("\nepsilon sweep (n=%d, pruning on)\n", largest);
-  std::printf("%8s %8s %8s %10s %7s %12s\n", "epsilon", "ms", "labels",
-              "merged", "pareto", "coverage_err");
+  std::printf("%8s %8s %8s %10s %7s %10s %12s\n", "epsilon", "ms",
+              "labels", "merged", "pareto", "checks", "coverage_err");
   for (const double epsilon : {0.0, 0.01, 0.05, 0.10}) {
     EpsSample es;
     es.epsilon = epsilon;
     es.run = run_config(largest, true, epsilon, repeats);
     es.coverage_err = coverage_error(exact, frontier(largest, true, epsilon));
     sweep.push_back(es);
-    std::printf("%8.2f %8.2f %8zu %10zu %7zu %12.4f\n", epsilon,
+    std::printf("%8.2f %8.2f %8zu %10zu %7zu %10zu %12.4f\n", epsilon,
                 es.run.search_seconds * 1e3, es.run.labels_created,
                 es.run.labels_merged_epsilon, es.run.pareto_size,
-                es.coverage_err);
+                es.run.dominance_checks, es.coverage_err);
   }
 
   const char* json_path = argc > 2 ? argv[2] : "BENCH_mlc.json";
@@ -233,12 +236,12 @@ int main(int argc, char** argv) {
                    "\"lower_bound_seconds\": %.6f, "
                    "\"labels_created\": %zu, \"labels_pruned_bound\": %zu, "
                    "\"labels_merged_epsilon\": %zu, \"queue_pops\": %zu, "
-                   "\"pareto_size\": %zu}%s\n",
+                   "\"pareto_size\": %zu, \"dominance_checks\": %zu}%s\n",
                    s.n, s.mode, s.epsilon, s.queries_per_second,
                    s.search_seconds, s.lower_bound_seconds,
                    s.labels_created, s.labels_pruned_bound,
                    s.labels_merged_epsilon, s.queue_pops, s.pareto_size,
-                   i + 1 < samples.size() ? "," : "");
+                   s.dominance_checks, i + 1 < samples.size() ? "," : "");
     }
     std::fprintf(f, "  ],\n  \"epsilon_sweep\": [\n");
     for (std::size_t i = 0; i < sweep.size(); ++i) {
@@ -247,11 +250,11 @@ int main(int argc, char** argv) {
                    "    {\"epsilon\": %.4f, \"search_seconds\": %.6f, "
                    "\"labels_created\": %zu, "
                    "\"labels_merged_epsilon\": %zu, \"pareto_size\": %zu, "
-                   "\"coverage_error\": %.6f}%s\n",
+                   "\"dominance_checks\": %zu, \"coverage_error\": %.6f}%s\n",
                    es.epsilon, es.run.search_seconds,
                    es.run.labels_created, es.run.labels_merged_epsilon,
-                   es.run.pareto_size, es.coverage_err,
-                   i + 1 < sweep.size() ? "," : "");
+                   es.run.pareto_size, es.run.dominance_checks,
+                   es.coverage_err, i + 1 < sweep.size() ? "," : "");
     }
     // Registry snapshot: the mlc.* counter family (created / pruned /
     // merged / lower-bound build seconds) for CI trend tracking.

@@ -32,12 +32,51 @@ struct Criteria {
 /// floating-point dust cannot inflate the Pareto set.
 inline constexpr double kCriteriaEpsilon = 1e-9;
 
+namespace detail {
+
+/// -1 / 0 / +1 comparison with the shared tolerance.
+[[nodiscard]] inline int fuzzy_cmp(double a, double b) noexcept {
+  if (a < b - kCriteriaEpsilon) return -1;
+  if (a > b + kCriteriaEpsilon) return +1;
+  return 0;
+}
+
+}  // namespace detail
+
+// The comparisons below are inline: the label search calls them in its
+// innermost loops (bag scans, heap sifts), hundreds of thousands of
+// times per query.
+
 /// Pareto dominance: a dominates b iff a <= b in every criterion and
-/// a < b in at least one (Sec. III-B), with epsilon tolerance.
-[[nodiscard]] bool dominates(const Criteria& a, const Criteria& b) noexcept;
+/// a < b in at least one (Sec. III-B), with epsilon tolerance — no
+/// fuzzy_cmp(a, b) > 0 and some fuzzy_cmp(a, b) < 0. Written without
+/// branches (fuzzy_cmp > 0 is exactly a > b + epsilon, < 0 exactly
+/// a < b - epsilon), since bag scans feed it unpredictable data.
+[[nodiscard]] inline bool dominates(const Criteria& a,
+                                    const Criteria& b) noexcept {
+  const double at = a.travel_time.value();
+  const double as = a.shaded_time.value();
+  const double ae = a.energy_out.value();
+  const double bt = b.travel_time.value();
+  const double bs = b.shaded_time.value();
+  const double be = b.energy_out.value();
+  const bool worse = (at > bt + kCriteriaEpsilon) |
+                     (as > bs + kCriteriaEpsilon) |
+                     (ae > be + kCriteriaEpsilon);
+  const bool better = (at < bt - kCriteriaEpsilon) |
+                      (as < bs - kCriteriaEpsilon) |
+                      (ae < be - kCriteriaEpsilon);
+  return better & !worse;
+}
 
 /// True when the two vectors are equal within tolerance.
-[[nodiscard]] bool equivalent(const Criteria& a, const Criteria& b) noexcept;
+[[nodiscard]] inline bool equivalent(const Criteria& a,
+                                     const Criteria& b) noexcept {
+  using detail::fuzzy_cmp;
+  return fuzzy_cmp(a.travel_time.value(), b.travel_time.value()) == 0 &&
+         fuzzy_cmp(a.shaded_time.value(), b.shaded_time.value()) == 0 &&
+         fuzzy_cmp(a.energy_out.value(), b.energy_out.value()) == 0;
+}
 
 /// Relaxed (epsilon-)dominance for approximate Pareto merging: true when
 /// a.c <= (1 + epsilon) * b.c in every criterion, i.e. `a` is at worst a
@@ -51,6 +90,14 @@ inline constexpr double kCriteriaEpsilon = 1e-9;
 /// Lexicographic order (travel time, then shaded time, then energy):
 /// the priority-queue order of the multi-label correcting algorithm
 /// ("extract the minimum label (in lexicographic order)").
-[[nodiscard]] bool lex_less(const Criteria& a, const Criteria& b) noexcept;
+[[nodiscard]] inline bool lex_less(const Criteria& a,
+                                   const Criteria& b) noexcept {
+  using detail::fuzzy_cmp;
+  if (const int c = fuzzy_cmp(a.travel_time.value(), b.travel_time.value()))
+    return c < 0;
+  if (const int c = fuzzy_cmp(a.shaded_time.value(), b.shaded_time.value()))
+    return c < 0;
+  return fuzzy_cmp(a.energy_out.value(), b.energy_out.value()) < 0;
+}
 
 }  // namespace sunchase::core

@@ -13,6 +13,10 @@
 #include "sunchase/core/world_fwd.h"
 #include "sunchase/roadnet/path.h"
 
+namespace sunchase::obs {
+class Gauge;
+}  // namespace sunchase::obs
+
 namespace sunchase::core {
 
 struct MlcOptions {
@@ -73,6 +77,10 @@ struct MlcStats {
   /// Labels dropped by the relaxed epsilon-dominance merge (0 unless
   /// options.epsilon > 0).
   std::size_t labels_merged_epsilon = 0;
+  /// Bag rows the insert scan compared a new label against (rows read
+  /// before it was rejected, merged or accepted). The machine-independent
+  /// measure of dominance work.
+  std::size_t dominance_checks = 0;
   Seconds shortest_travel_time{0.0};
   /// Wall clock of this search (the query log's mlc phase duration).
   double search_seconds = 0.0;
@@ -124,5 +132,14 @@ class MultiLabelCorrecting {
   MlcOptions options_;
   const SlotCostCache* cache_ = nullptr;  ///< only when SlotQuantized
 };
+
+namespace detail {
+
+/// The "mlc.cpu_seconds{pricing}" gauge the planners add each query's
+/// CPU seconds to, one handle per pricing mode resolved on first use,
+/// so the per-query accounting does no registry lookup.
+[[nodiscard]] obs::Gauge& mlc_cpu_seconds(PricingMode pricing);
+
+}  // namespace detail
 
 }  // namespace sunchase::core

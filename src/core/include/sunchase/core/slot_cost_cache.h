@@ -11,6 +11,7 @@
 #include <array>
 #include <atomic>
 #include <cstddef>
+#include <cstdint>
 #include <mutex>
 #include <span>
 #include <vector>
@@ -54,6 +55,22 @@ class SlotCostCache {
   /// the map's graph.
   [[nodiscard]] const Entry& at(roadnet::EdgeId edge, int slot) const;
 
+  /// The whole column for `slot`, indexed by edge id, filling it on
+  /// first touch exactly like at(). Counts nothing itself: `missed` is
+  /// set when the column had not published yet (the lookup at() would
+  /// count as a miss), and a caller reading many rows through one
+  /// column reports them once via record_lookups(). Throws
+  /// InvalidArgument for a slot outside [0, kSlotsPerDay).
+  [[nodiscard]] std::span<const Entry> column(int slot, bool& missed) const;
+
+  /// Adds lookups made through column() to the "slotcache.hits" /
+  /// "slotcache.misses" counters, so they total what the same reads
+  /// through at() would have counted.
+  void record_lookups(std::uint64_t hits, std::uint64_t misses) const {
+    hits_.add(hits);
+    misses_.add(misses);
+  }
+
   /// Columns materialized so far.
   [[nodiscard]] std::size_t filled_slots() const noexcept {
     return filled_.load(std::memory_order_relaxed);
@@ -83,6 +100,10 @@ class SlotCostCache {
     /// zero-copy view into a mapped snapshot (adopt_column).
     common::FrozenArray<Entry> entries;
   };
+
+  /// The published column for `slot` (range already checked), filling
+  /// it first if needed; `missed` as in column().
+  Column& ready_column(int slot, bool& missed) const;
 
   void fill(Column& column, int slot) const;
 

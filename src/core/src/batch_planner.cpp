@@ -166,12 +166,7 @@ BatchResult BatchPlanner::plan_all(
         outcome.cpu_seconds = obs::thread_cpu_seconds() - cpu_started;
         metrics.run_time.observe(run_seconds);
         latency.observe(run_seconds);
-        // Gauge::add: the registry's atomic float accumulator (CPU
-        // seconds are fractional; Counter is integer-only).
-        obs::Registry::global()
-            .gauge("mlc.cpu_seconds",
-                   {{"pricing", pricing_name(options_.mlc.pricing)}})
-            .add(outcome.cpu_seconds);
+        detail::mlc_cpu_seconds(options_.mlc.pricing).add(outcome.cpu_seconds);
         if (log != nullptr) {
           obs::QueryRecord record = start_record(query, i,
                                                  options_.mlc.pricing);

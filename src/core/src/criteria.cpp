@@ -1,31 +1,6 @@
 #include "sunchase/core/criteria.h"
 
-#include <cmath>
-
 namespace sunchase::core {
-
-namespace {
-// -1 / 0 / +1 comparison with the shared tolerance.
-int fuzzy_cmp(double a, double b) noexcept {
-  if (a < b - kCriteriaEpsilon) return -1;
-  if (a > b + kCriteriaEpsilon) return +1;
-  return 0;
-}
-}  // namespace
-
-bool dominates(const Criteria& a, const Criteria& b) noexcept {
-  const int c1 = fuzzy_cmp(a.travel_time.value(), b.travel_time.value());
-  const int c2 = fuzzy_cmp(a.shaded_time.value(), b.shaded_time.value());
-  const int c3 = fuzzy_cmp(a.energy_out.value(), b.energy_out.value());
-  if (c1 > 0 || c2 > 0 || c3 > 0) return false;
-  return c1 < 0 || c2 < 0 || c3 < 0;
-}
-
-bool equivalent(const Criteria& a, const Criteria& b) noexcept {
-  return fuzzy_cmp(a.travel_time.value(), b.travel_time.value()) == 0 &&
-         fuzzy_cmp(a.shaded_time.value(), b.shaded_time.value()) == 0 &&
-         fuzzy_cmp(a.energy_out.value(), b.energy_out.value()) == 0;
-}
 
 bool epsilon_dominates(const Criteria& a, const Criteria& b,
                        double epsilon) noexcept {
@@ -36,14 +11,6 @@ bool epsilon_dominates(const Criteria& a, const Criteria& b,
              scale * b.shaded_time.value() + kCriteriaEpsilon &&
          a.energy_out.value() <=
              scale * b.energy_out.value() + kCriteriaEpsilon;
-}
-
-bool lex_less(const Criteria& a, const Criteria& b) noexcept {
-  if (const int c = fuzzy_cmp(a.travel_time.value(), b.travel_time.value()))
-    return c < 0;
-  if (const int c = fuzzy_cmp(a.shaded_time.value(), b.shaded_time.value()))
-    return c < 0;
-  return fuzzy_cmp(a.energy_out.value(), b.energy_out.value()) < 0;
 }
 
 }  // namespace sunchase::core

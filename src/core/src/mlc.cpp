@@ -4,7 +4,7 @@
 #include <chrono>
 #include <cmath>
 #include <queue>
-
+#include <span>
 #include <utility>
 
 #include "sunchase/common/error.h"
@@ -29,6 +29,7 @@ struct MlcMetrics {
   obs::Counter& label_cap_hits;
   obs::Counter& labels_pruned_bound;
   obs::Counter& labels_merged_epsilon;
+  obs::Counter& dominance_checks;
   obs::Histogram& lower_bound_latency;
   obs::Histogram& latency;
 
@@ -41,24 +42,32 @@ struct MlcMetrics {
         obs::Registry::global().counter("mlc.label_cap_hits"),
         obs::Registry::global().counter("mlc.labels_pruned_bound"),
         obs::Registry::global().counter("mlc.labels_merged_epsilon"),
+        obs::Registry::global().counter("mlc.dominance_checks"),
         obs::Registry::global().histogram("mlc.lower_bound_seconds"),
         obs::Registry::global().histogram("mlc.query_latency_seconds")};
     return metrics;
   }
 };
 
-/// A search label: cost vector at `node`, reached via `via_edge` from
-/// the label at index `parent` (-1 for the origin label).
+/// How a label was reached: `node` via `via_edge` from the label at
+/// arena index `parent` (-1 for the origin label). The label's cost is
+/// kept where it is read, in its queue entry and its bag row.
 struct Label {
-  Criteria cost;
   roadnet::NodeId node = roadnet::kInvalidNode;
   roadnet::EdgeId via_edge = roadnet::kInvalidEdge;
   std::int32_t parent = -1;
   bool alive = true;  ///< false once dominated (lazy queue deletion)
 };
 
+/// One row of a node's bag: a live label's cost inline beside its arena
+/// index, so a dominance scan reads one contiguous array.
+struct BagRow {
+  Criteria cost;
+  std::uint32_t label;
+};
+
 struct QueueEntry {
-  Criteria cost;  ///< snapshot for ordering
+  Criteria cost;  ///< the label's cost, the ordering key
   std::uint32_t label;
 };
 
@@ -69,6 +78,23 @@ struct LexGreater {
 };
 
 }  // namespace
+
+obs::Gauge& detail::mlc_cpu_seconds(PricingMode pricing) {
+  // Gauge rather than Counter: CPU seconds are fractional, and
+  // Gauge::add is the registry's only atomic float accumulator. The
+  // series is monotone in practice — treat it like a counter when
+  // graphing rates. Each series registers on its mode's first query.
+  auto resolve = [](PricingMode mode) -> obs::Gauge& {
+    return obs::Registry::global().gauge("mlc.cpu_seconds",
+                                         {{"pricing", pricing_name(mode)}});
+  };
+  if (pricing == PricingMode::SlotQuantized) {
+    static obs::Gauge& slot = resolve(PricingMode::SlotQuantized);
+    return slot;
+  }
+  static obs::Gauge& exact = resolve(PricingMode::Exact);
+  return exact;
+}
 
 MultiLabelCorrecting::MultiLabelCorrecting(WorldPtr world, MlcOptions options)
     : world_(std::move(world)), options_(options) {
@@ -139,41 +165,81 @@ MlcResult MultiLabelCorrecting::search(roadnet::NodeId origin,
 
   std::vector<Label> arena;
   arena.reserve(1024);
-  std::vector<std::vector<std::uint32_t>> bags(graph.node_count());
+  std::vector<std::vector<BagRow>> bags(graph.node_count());
   std::priority_queue<QueueEntry, std::vector<QueueEntry>, LexGreater> queue;
 
   // Initialization: L(origin) = (origin, (0,0,0), NULL).
-  arena.push_back(Label{Criteria{}, origin, roadnet::kInvalidEdge, -1, true});
-  bags[origin].push_back(0);
+  arena.push_back(Label{origin, roadnet::kInvalidEdge, -1, true});
+  bags[origin].push_back(BagRow{Criteria{}, 0});
   queue.push(QueueEntry{Criteria{}, 0});
   result.stats.labels_created = 1;
 
-  // Inserts `cost` at node v if non-dominated; prunes the bag.
+  // Slot-cache lookups, added to the cache's hit/miss counters once per
+  // search (and before a label-budget throw) instead of per edge.
+  std::uint64_t slot_lookups = 0;
+  std::uint64_t slot_misses = 0;
+  auto report_slot_lookups = [&] {
+    if (cache_ != nullptr)
+      cache_->record_lookups(slot_lookups - slot_misses, slot_misses);
+  };
+
+  // Inserts `cost` at node v unless a bag row rejects it; drops the rows
+  // it dominates. One pass over the bag decides both, with every test
+  // the exact fuzzy comparison of criteria.h:
+  //  - a row rejects the new cost when equivalent(row, cost) ||
+  //    dominates(row, cost), i.e. when no criterion has
+  //    row > cost + kCriteriaEpsilon, so the new side's bounds are
+  //    computed once per insert rather than once per row;
+  //  - when the new cost is slower than the row by more than the
+  //    tolerance (the common case: labels pop in travel-time order),
+  //    fuzzy_cmp calls it worse in time, so it cannot dominate the row
+  //    and the full dominates() test is skipped.
+  const double epsilon = options_.epsilon;
   auto try_insert = [&](roadnet::NodeId v, const Criteria& cost,
                         roadnet::EdgeId via, std::int32_t parent) {
-    auto& bag = bags[v];
-    for (const std::uint32_t idx : bag) {
-      const Criteria& existing = arena[idx].cost;
-      if (equivalent(existing, cost) || dominates(existing, cost)) return;
-      // Relaxed merge: only consulted when epsilon > 0, so the exact
-      // (epsilon = 0) search takes the identical code path above.
-      if (options_.epsilon > 0.0 &&
-          epsilon_dominates(existing, cost, options_.epsilon)) {
-        ++result.stats.labels_merged_epsilon;
-        return;
+    std::vector<BagRow>& bag = bags[v];
+    const double time = cost.travel_time.value();
+    const double time_hi = time + kCriteriaEpsilon;
+    const double shade_hi = cost.shaded_time.value() + kCriteriaEpsilon;
+    const double energy_hi = cost.energy_out.value() + kCriteriaEpsilon;
+    std::size_t checked = 0;
+    bool rejected = false;
+    bool dominates_a_row = false;
+    for (const BagRow& row : bag) {
+      ++checked;
+      const double row_time = row.cost.travel_time.value();
+      const double row_shade = row.cost.shaded_time.value();
+      const double row_energy = row.cost.energy_out.value();
+      const bool row_worse = (row_time > time_hi) | (row_shade > shade_hi) |
+                             (row_energy > energy_hi);
+      if (!row_worse) {
+        rejected = true;
+        break;
       }
+      // Relaxed merge: only consulted when epsilon > 0, so the exact
+      // (epsilon = 0) search never evaluates it.
+      if (epsilon > 0.0 && epsilon_dominates(row.cost, cost, epsilon)) {
+        ++result.stats.labels_merged_epsilon;
+        rejected = true;
+        break;
+      }
+      const bool slower = time > row_time + kCriteriaEpsilon;
+      if (!slower && dominates(cost, row.cost)) dominates_a_row = true;
     }
+    result.stats.dominance_checks += checked;
+    if (rejected) return;
     // Remove bag labels the new cost dominates (step 2c of Algorithm 1;
-    // queue entries die lazily via the alive flag).
-    std::erase_if(bag, [&](std::uint32_t idx) {
-      if (dominates(cost, arena[idx].cost)) {
-        arena[idx].alive = false;
+    // queue entries die lazily via the alive flag). Stable, so the bag
+    // keeps creation order.
+    if (dominates_a_row)
+      std::erase_if(bag, [&](const BagRow& row) {
+        if (!dominates(cost, row.cost)) return false;
+        arena[row.label].alive = false;
         ++result.stats.labels_dominated;
         return true;
-      }
-      return false;
-    });
+      });
     if (arena.size() >= options_.max_labels) {
+      report_slot_lookups();
       MlcMetrics::get().label_cap_hits.add();
       SUNCHASE_LOG(Info) << "mlc: label budget of " << options_.max_labels
                          << " exhausted at node " << v << " ("
@@ -183,9 +249,9 @@ MlcResult MultiLabelCorrecting::search(roadnet::NodeId origin,
                          std::to_string(options_.max_labels) + " exhausted");
     }
     const auto idx = static_cast<std::uint32_t>(arena.size());
-    arena.push_back(Label{cost, v, via, parent, true});
+    arena.push_back(Label{v, via, parent, true});
     ++result.stats.labels_created;
-    bag.push_back(idx);
+    bag.push_back(BagRow{cost, idx});
     queue.push(QueueEntry{cost, idx});
   };
 
@@ -193,24 +259,33 @@ MlcResult MultiLabelCorrecting::search(roadnet::NodeId origin,
     const QueueEntry entry = queue.top();
     queue.pop();
     ++result.stats.queue_pops;
-    const Label current = arena[entry.label];  // copy: arena may grow
-    if (!current.alive) continue;  // lazily deleted
+    // Read before any try_insert: growing the arena invalidates `label`.
+    const Label& label = arena[entry.label];
+    if (!label.alive) continue;  // lazily deleted
     // Expanding from the destination only finds cycles back to it, and
     // every cycle is dominated (criteria are non-negative additive).
-    if (current.node == destination) continue;
+    if (label.node == destination) continue;
+    const std::span<const roadnet::EdgeId> out = graph.out_edges(label.node);
+    if (out.empty()) continue;  // a dead end reads no slot column
 
     const TimeOfDay now =
         options_.time_dependent
-            ? departure.advanced_by(current.cost.travel_time)
+            ? departure.advanced_by(entry.cost.travel_time)
             : departure;
     // Under SlotQuantized all expansions from this label share one slot
-    // column: resolve the slot once, then each edge is an array read.
-    const int slot = cache_ ? now.slot_index() : 0;
-    for (const roadnet::EdgeId e : graph.out_edges(current.node)) {
+    // column: resolve it once, then each edge is an array read.
+    std::span<const SlotCostCache::Entry> slot_column;
+    if (cache_ != nullptr) {
+      bool missed = false;
+      slot_column = cache_->column(now.slot_index(), missed);
+      slot_lookups += out.size();
+      if (missed) ++slot_misses;
+    }
+    for (const roadnet::EdgeId e : out) {
       const Criteria next =
-          current.cost +
-          (cache_ ? cache_->at(e, slot).criteria
-                  : detail::edge_criteria(map, vehicle, e, now));
+          entry.cost + (cache_ != nullptr
+                            ? slot_column[e].criteria
+                            : detail::edge_criteria(map, vehicle, e, now));
       const roadnet::NodeId to = graph.edge(e).to;
       if (time_bound > 0.0) {
         // With lower bounds: can this label still reach the destination
@@ -226,16 +301,13 @@ MlcResult MultiLabelCorrecting::search(roadnet::NodeId origin,
       try_insert(to, next, e, static_cast<std::int32_t>(entry.label));
     }
   }
+  report_slot_lookups();
 
   // Harvest the destination bag and rebuild paths parent-by-parent.
-  for (const std::uint32_t idx : bags[destination]) {
-    if (origin == destination && arena[idx].parent == -1) {
-      result.routes.push_back(ParetoRoute{{}, arena[idx].cost});
-      continue;
-    }
+  for (const BagRow& row : bags[destination]) {
     ParetoRoute route;
-    route.cost = arena[idx].cost;
-    for (std::int32_t i = static_cast<std::int32_t>(idx);
+    route.cost = row.cost;
+    for (std::int32_t i = static_cast<std::int32_t>(row.label);
          arena[static_cast<std::uint32_t>(i)].parent != -1;
          i = arena[static_cast<std::uint32_t>(i)].parent)
       route.path.edges.push_back(arena[static_cast<std::uint32_t>(i)].via_edge);
@@ -259,6 +331,7 @@ MlcResult MultiLabelCorrecting::search(roadnet::NodeId origin,
   metrics.queries.add();
   metrics.labels_pruned_bound.add(result.stats.labels_pruned_bound);
   metrics.labels_merged_epsilon.add(result.stats.labels_merged_epsilon);
+  metrics.dominance_checks.add(result.stats.dominance_checks);
   if (result.stats.lower_bound_seconds > 0.0)
     metrics.lower_bound_latency.observe(result.stats.lower_bound_seconds);
   metrics.latency.observe(result.stats.search_seconds);

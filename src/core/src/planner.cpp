@@ -5,6 +5,7 @@
 
 #include "sunchase/common/error.h"
 #include "sunchase/core/world.h"
+#include "sunchase/obs/metrics.h"
 #include "sunchase/obs/profiler.h"
 #include "sunchase/obs/query_log.h"
 #include "sunchase/obs/trace.h"
@@ -67,14 +68,7 @@ PlanResult SunChasePlanner::plan(roadnet::NodeId origin,
     plan.cluster_count = selection.cluster_count;
     plan.search_stats = search.stats;
     plan.cpu_seconds = obs::thread_cpu_seconds() - cpu_started;
-    // Gauge rather than Counter: CPU seconds are fractional, and
-    // Gauge::add is the registry's only atomic float accumulator. The
-    // series is monotone in practice — treat it like a counter when
-    // graphing rates.
-    obs::Registry::global()
-        .gauge("mlc.cpu_seconds",
-               {{"pricing", pricing_name(options_.mlc.pricing)}})
-        .add(plan.cpu_seconds);
+    detail::mlc_cpu_seconds(options_.mlc.pricing).add(plan.cpu_seconds);
 
     if (log != nullptr) {
       record.mlc_seconds = search.stats.search_seconds;

@@ -9,6 +9,17 @@
 
 namespace sunchase::core {
 
+namespace {
+
+void check_slot(const char* who, int slot) {
+  if (slot < 0 || slot >= TimeOfDay::kSlotsPerDay)
+    throw InvalidArgument(std::string(who) + ": slot index " +
+                          std::to_string(slot) + " outside [0, " +
+                          std::to_string(TimeOfDay::kSlotsPerDay) + ")");
+}
+
+}  // namespace
+
 SlotCostCache::SlotCostCache(const solar::SolarInputMap& map,
                              const ev::ConsumptionModel& vehicle)
     : map_(map),
@@ -22,19 +33,10 @@ SlotCostCache::SlotCostCache(const solar::SolarInputMap& map,
 
 const SlotCostCache::Entry& SlotCostCache::at(roadnet::EdgeId edge,
                                               int slot) const {
-  if (slot < 0 || slot >= TimeOfDay::kSlotsPerDay)
-    throw InvalidArgument("SlotCostCache::at: slot index " +
-                          std::to_string(slot) + " outside [0, " +
-                          std::to_string(TimeOfDay::kSlotsPerDay) + ")");
-  Column& column = columns_[static_cast<std::size_t>(slot)];
-  if (column.ready.load(std::memory_order_acquire)) {
-    hits_.add();
-  } else {
-    // First touch of this slot (or racing with the filler): everyone who
-    // arrives before the column publishes counts as a miss.
-    misses_.add();
-    std::call_once(column.once, [&] { fill(column, slot); });
-  }
+  check_slot("SlotCostCache::at", slot);
+  bool missed = false;
+  const Column& column = ready_column(slot, missed);
+  (missed ? misses_ : hits_).add();
   // Edge ids are dense (add_edge hands them out starting at 0), so the
   // id doubles as the row index; a stale id is rejected here.
   if (edge >= column.entries.size())
@@ -44,12 +46,25 @@ const SlotCostCache::Entry& SlotCostCache::at(roadnet::EdgeId edge,
   return column.entries[edge];
 }
 
+std::span<const SlotCostCache::Entry> SlotCostCache::column(
+    int slot, bool& missed) const {
+  check_slot("SlotCostCache::column", slot);
+  return ready_column(slot, missed).entries.span();
+}
+
+SlotCostCache::Column& SlotCostCache::ready_column(int slot,
+                                                   bool& missed) const {
+  Column& column = columns_[static_cast<std::size_t>(slot)];
+  // First touch of this slot (or racing with the filler): everyone who
+  // arrives before the column publishes counts as a miss.
+  missed = !column.ready.load(std::memory_order_acquire);
+  if (missed) std::call_once(column.once, [&] { fill(column, slot); });
+  return column;
+}
+
 std::span<const SlotCostCache::Entry> SlotCostCache::column_view(
     int slot) const {
-  if (slot < 0 || slot >= TimeOfDay::kSlotsPerDay)
-    throw InvalidArgument("SlotCostCache::column_view: slot index " +
-                          std::to_string(slot) + " outside [0, " +
-                          std::to_string(TimeOfDay::kSlotsPerDay) + ")");
+  check_slot("SlotCostCache::column_view", slot);
   const Column& column = columns_[static_cast<std::size_t>(slot)];
   if (!column.ready.load(std::memory_order_acquire)) return {};
   return column.entries.span();
@@ -81,10 +96,7 @@ void SlotCostCache::fill(Column& column, int slot) const {
 
 void SlotCostCache::adopt_column(int slot,
                                  common::FrozenArray<Entry> entries) const {
-  if (slot < 0 || slot >= TimeOfDay::kSlotsPerDay)
-    throw InvalidArgument("SlotCostCache::adopt_column: slot index " +
-                          std::to_string(slot) + " outside [0, " +
-                          std::to_string(TimeOfDay::kSlotsPerDay) + ")");
+  check_slot("SlotCostCache::adopt_column", slot);
   if (entries.size() != map_.graph().edge_count())
     throw InvalidArgument("SlotCostCache::adopt_column: column has " +
                           std::to_string(entries.size()) + " rows for " +

@@ -328,10 +328,12 @@ std::string MetricsSnapshot::to_json(int indent) const {
         << ", \"p99\": " << format_double(h.quantile(0.99)) << ",\n";
     out << pad << "      \"buckets\": [";
     for (std::size_t i = 0; i < h.buckets.size(); ++i) {
-      out << (i ? ", " : "") << "{\"le\": "
-          << (i < h.bounds.size() ? "\"" + format_double(h.bounds[i]) + "\""
-                                  : std::string("\"+Inf\""))
-          << ", \"count\": " << h.buckets[i] << "}";
+      out << (i ? ", " : "") << "{\"le\": \"";
+      if (i < h.bounds.size())
+        out << format_double(h.bounds[i]);
+      else
+        out << "+Inf";
+      out << "\", \"count\": " << h.buckets[i] << "}";
     }
     out << "]\n" << pad << "    }";
   }

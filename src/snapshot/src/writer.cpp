@@ -71,8 +71,9 @@ void write_all(int fd, const std::string& path,
 }
 
 void fsync_directory_of(const std::string& path) {
-  std::string dir = std::filesystem::path(path).parent_path().string();
-  if (dir.empty()) dir = ".";
+  const std::filesystem::path parent =
+      std::filesystem::path(path).parent_path();
+  const std::string dir = parent.empty() ? "." : parent.string();
   const int dfd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY | O_CLOEXEC);
   if (dfd < 0) fail_errno(dir, "cannot open directory for fsync");
   const int rc = ::fsync(dfd);

@@ -1,7 +1,7 @@
 // Shared fixture for the core routing tests: a small graph with a
 // deterministic synthetic shading profile bundled into one immutable
-// world snapshot, plus a brute-force Pareto enumerator to validate the
-// multi-label correcting search against.
+// world snapshot, the bench paper world, plus a brute-force Pareto
+// enumerator to validate the multi-label correcting search against.
 #pragma once
 
 #include <functional>
@@ -16,6 +16,7 @@
 #include "sunchase/ev/consumption.h"
 #include "sunchase/roadnet/citygen.h"
 #include "sunchase/roadnet/traffic.h"
+#include "sunchase/shadow/scenegen.h"
 #include "sunchase/solar/input_map.h"
 #include "test_helpers.h"
 
@@ -85,6 +86,36 @@ struct RoutingEnv {
   const ev::ConsumptionModel& lv;
   const ev::ConsumptionModel& tesla;
 };
+
+/// The bench paper world (12x12 grid, generated scene, exact 15-minute
+/// shading, urban traffic), built once per process — compute_exact is
+/// the expensive part.
+inline const core::WorldPtr& paper_world() {
+  static const core::WorldPtr snapshot = [] {
+    roadnet::GridCityOptions opt;
+    opt.rows = 12;
+    opt.cols = 12;
+    const roadnet::GridCity city(opt);
+    const geo::LocalProjection projection(city.options().origin);
+    const shadow::Scene scene = shadow::generate_scene(
+        city.graph(), projection, shadow::SceneGenOptions{});
+    auto graph = std::make_shared<const roadnet::RoadGraph>(city.graph());
+    core::WorldInit init;
+    init.graph = graph;
+    init.traffic = std::make_shared<const roadnet::UrbanTraffic>(
+        roadnet::UrbanTraffic::Options{});
+    init.shading = std::make_shared<const shadow::ShadingProfile>(
+        shadow::ShadingProfile::compute_exact(*graph, scene,
+                                              geo::DayOfYear{196},
+                                              TimeOfDay::hms(8, 0),
+                                              TimeOfDay::hms(18, 30)));
+    init.panel_power = solar::constant_panel_power(Watts{200.0});
+    init.vehicles.push_back(std::shared_ptr<const ev::ConsumptionModel>(
+        ev::make_lv_prototype()));
+    return core::World::create(std::move(init));
+  }();
+  return snapshot;
+}
 
 /// Enumerates every simple path origin->destination (DFS) and prices it
 /// with *static* edge criteria at `departure`, then filters to the

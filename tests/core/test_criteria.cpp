@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+#include <vector>
+
 namespace sunchase::core {
 namespace {
 
@@ -42,6 +46,35 @@ TEST(Dominance, EpsilonTiesAreNotStrict) {
   const Criteria b = make(1.0 + 1e-12, 1.0, 1.0);
   EXPECT_FALSE(dominates(a, b));  // difference below tolerance
   EXPECT_TRUE(equivalent(a, b));
+}
+
+TEST(Dominance, MatchesTheFuzzyCmpDefinitionAtTheEdges) {
+  // dominates() is written without branches; it must agree with "no
+  // fuzzy_cmp > 0 and some fuzzy_cmp < 0" everywhere, including exactly
+  // at the tolerance, one ulp either side of it, and non-finite values.
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double eps = kCriteriaEpsilon;
+  const std::vector<double> values = {
+      0.0, 1.0, 1.0 + eps, 1.0 - eps, std::nextafter(1.0 + eps, 2.0),
+      std::nextafter(1.0 - eps, 0.0), 86400.0, 86400.0 + eps, inf, -inf, nan};
+  auto by_definition = [](const Criteria& a, const Criteria& b) {
+    using detail::fuzzy_cmp;
+    const int c1 = fuzzy_cmp(a.travel_time.value(), b.travel_time.value());
+    const int c2 = fuzzy_cmp(a.shaded_time.value(), b.shaded_time.value());
+    const int c3 = fuzzy_cmp(a.energy_out.value(), b.energy_out.value());
+    if (c1 > 0 || c2 > 0 || c3 > 0) return false;
+    return c1 < 0 || c2 < 0 || c3 < 0;
+  };
+  for (const double a1 : values)
+    for (const double b1 : values)
+      for (const double a2 : {1.0, 2.0})
+        for (const double b2 : {1.0, 1.0 + eps, 2.0}) {
+          const Criteria a = make(a1, a2, 1.0);
+          const Criteria b = make(b1, b2, 1.0);
+          EXPECT_EQ(dominates(a, b), by_definition(a, b))
+              << a1 << "," << a2 << " vs " << b1 << "," << b2;
+        }
 }
 
 TEST(Equivalent, DetectsNearEquality) {

@@ -18,7 +18,6 @@
 #include "sunchase/common/error.h"
 #include "sunchase/core/mlc.h"
 #include "sunchase/roadnet/citygen.h"
-#include "sunchase/shadow/scenegen.h"
 
 namespace sunchase::core {
 namespace {
@@ -32,36 +31,6 @@ core::WorldPtr urban_world(const roadnet::RoadGraph& g) {
   init.traffic = std::make_shared<const roadnet::UrbanTraffic>(
       roadnet::UrbanTraffic::Options{});
   return core::World::create(std::move(init));
-}
-
-/// The bench paper world (12x12 grid, generated scene, exact 15-minute
-/// shading, urban traffic), built once — compute_exact is the
-/// expensive part.
-const core::WorldPtr& paper_world() {
-  static const core::WorldPtr snapshot = [] {
-    roadnet::GridCityOptions opt;
-    opt.rows = 12;
-    opt.cols = 12;
-    const roadnet::GridCity city(opt);
-    const geo::LocalProjection projection(city.options().origin);
-    const shadow::Scene scene = shadow::generate_scene(
-        city.graph(), projection, shadow::SceneGenOptions{});
-    auto graph = std::make_shared<const roadnet::RoadGraph>(city.graph());
-    WorldInit init;
-    init.graph = graph;
-    init.traffic = std::make_shared<const roadnet::UrbanTraffic>(
-        roadnet::UrbanTraffic::Options{});
-    init.shading = std::make_shared<const shadow::ShadingProfile>(
-        shadow::ShadingProfile::compute_exact(*graph, scene,
-                                              geo::DayOfYear{196},
-                                              TimeOfDay::hms(8, 0),
-                                              TimeOfDay::hms(18, 30)));
-    init.panel_power = solar::constant_panel_power(Watts{200.0});
-    init.vehicles.push_back(std::shared_ptr<const ev::ConsumptionModel>(
-        ev::make_lv_prototype()));
-    return World::create(std::move(init));
-  }();
-  return snapshot;
 }
 
 /// Pruned and unpruned searches of the same query must agree bit for
@@ -137,7 +106,7 @@ TEST(MlcPruning, BitIdenticalOnUrbanGridAtRushHour) {
 }
 
 TEST(MlcPruning, BitIdenticalOnThePaperWorld) {
-  const core::WorldPtr& world = paper_world();
+  const core::WorldPtr& world = test::paper_world();
   const auto& graph = world->graph();
   const roadnet::NodeId o = 0;
   const auto d = static_cast<roadnet::NodeId>(graph.node_count() - 1);

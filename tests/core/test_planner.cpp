@@ -8,6 +8,7 @@
 #include "core_fixture.h"
 #include "obs/json_check.h"
 #include "sunchase/common/error.h"
+#include "sunchase/obs/metrics.h"
 #include "sunchase/obs/query_log.h"
 
 namespace sunchase::core {
@@ -37,6 +38,25 @@ TEST_F(PlannerTest, PlanProducesConsistentResult) {
               city_.node_at(1, 1));
     EXPECT_EQ(path_destination(cand.route.path, city_.graph()),
               city_.node_at(8, 8));
+  }
+}
+
+TEST_F(PlannerTest, CpuSecondsLandInTheGaugeOfTheQueryPricing) {
+  // The cached per-mode handle is the registry's labeled series itself.
+  for (const PricingMode pricing :
+       {PricingMode::Exact, PricingMode::SlotQuantized}) {
+    obs::Gauge& series = obs::Registry::global().gauge(
+        "mlc.cpu_seconds", {{"pricing", pricing_name(pricing)}});
+    EXPECT_EQ(&detail::mlc_cpu_seconds(pricing), &series);
+    PlannerOptions options;
+    options.mlc.pricing = pricing;
+    const SunChasePlanner planner(env_.world, options);
+    const double before = series.value();
+    const PlanResult plan = planner.plan(city_.node_at(1, 1),
+                                         city_.node_at(8, 8),
+                                         TimeOfDay::hms(10, 0));
+    EXPECT_GT(plan.cpu_seconds, 0.0);
+    EXPECT_NEAR(series.value() - before, plan.cpu_seconds, 1e-9);
   }
 }
 
