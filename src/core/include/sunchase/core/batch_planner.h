@@ -4,7 +4,10 @@
 // the server-side pre-computation shape of the SCORE deployment model —
 // one process answering many route queries per solar-map refresh, with
 // live refreshes published through WorldStore while in-flight queries
-// keep the snapshot they started on.
+// keep the snapshot they started on. Each worker runs the same
+// per-query step as SunChasePlanner::plan (detail::plan_query in
+// planner.h); BatchPlanner itself only fans out, pins each query's
+// world and keeps the batch metrics.
 #pragma once
 
 #include <cstddef>

@@ -3,6 +3,9 @@
 // plus the better-solar candidates that pass the Eq. 5 test.
 #pragma once
 
+#include <cstdint>
+#include <optional>
+
 #include "sunchase/core/mlc.h"
 #include "sunchase/core/selection.h"
 
@@ -34,10 +37,11 @@ struct PlanResult {
   /// responses without re-measuring.
   double cpu_seconds = 0.0;
 
-  /// The recommended route: the best better-solar candidate when one
-  /// exists, otherwise the shortest-time path — exactly the paper's
-  /// "if there is no better route, we selected the shortest-time path".
-  [[nodiscard]] const CandidateRoute& recommended() const;
+  /// core::recommended(candidates): the best better-solar candidate, or
+  /// the shortest-time path. Throws RoutingError on an empty plan.
+  [[nodiscard]] const CandidateRoute& recommended() const {
+    return core::recommended(candidates);
+  }
   [[nodiscard]] bool has_better_solar() const noexcept {
     return candidates.size() > 1;
   }
@@ -70,5 +74,33 @@ class SunChasePlanner {
   PlannerOptions options_;
   MultiLabelCorrecting solver_;
 };
+
+namespace detail {
+
+/// What the per-query planning step hands back.
+struct PlannedQuery {
+  MlcResult search;
+  /// Set when the step ran the selection pipeline.
+  std::optional<SelectionResult> selection;
+  double cpu_seconds = 0.0;   ///< thread CPU of search + selection
+  double wall_seconds = 0.0;  ///< wall clock of search + selection
+};
+
+/// The one per-query planning step; SunChasePlanner::plan and every
+/// BatchPlanner worker call it. In order: the MLC search on `solver`'s
+/// pinned snapshot; the selection pipeline when `selection` is set; the
+/// query's thread CPU added to mlc.cpu_seconds{pricing}; and, when `log`
+/// is set, the query's one QueryRecord — mode "plan" for index -1,
+/// otherwise "batch" with its index. When the search or selection
+/// throws, the record is an error record and the exception propagates.
+[[nodiscard]] PlannedQuery plan_query(const MultiLabelCorrecting& solver,
+                                      roadnet::NodeId origin,
+                                      roadnet::NodeId destination,
+                                      TimeOfDay departure,
+                                      const SelectionOptions* selection,
+                                      obs::QueryLog* log,
+                                      std::int64_t index = -1);
+
+}  // namespace detail
 
 }  // namespace sunchase::core

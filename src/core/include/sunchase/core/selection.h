@@ -55,6 +55,13 @@ struct SelectionResult {
   double selection_seconds = 0.0;
 };
 
+/// The recommended route of a selection: the best better-solar
+/// candidate when one survived, otherwise the shortest-time path —
+/// exactly the paper's "if there is no better route, we selected the
+/// shortest-time path". Throws RoutingError when `candidates` is empty.
+[[nodiscard]] const CandidateRoute& recommended(
+    const std::vector<CandidateRoute>& candidates);
+
 /// Runs the full selection pipeline on a Pareto set, pricing routes
 /// against the world's `vehicle`. An empty Pareto set yields an empty
 /// result. Throws InvalidArgument for a null world or an unknown

@@ -2,18 +2,17 @@
 
 #include <algorithm>
 #include <chrono>
+#include <exception>
 #include <future>
 #include <utility>
 
 #include "sunchase/common/error.h"
 #include "sunchase/common/logging.h"
 #include "sunchase/common/thread_pool.h"
-#include "sunchase/core/metrics.h"
-#include "sunchase/core/world.h"
+#include "sunchase/core/planner.h"
 #include "sunchase/core/world_store.h"
 #include "sunchase/obs/metrics.h"
 #include "sunchase/obs/profiler.h"
-#include "sunchase/obs/query_log.h"
 #include "sunchase/obs/trace.h"
 
 namespace sunchase::core {
@@ -38,20 +37,6 @@ void accumulate(MlcStats& into, const MlcStats& stats) {
   into.lower_bound_seconds += stats.lower_bound_seconds;
 }
 
-/// Starts a batch-mode QueryRecord for `query`; the worker (or the
-/// collect loop, on failure) fills in the rest.
-obs::QueryRecord start_record(const BatchQuery& query, std::size_t index,
-                              PricingMode pricing) {
-  obs::QueryRecord record;
-  record.mode = "batch";
-  record.index = static_cast<std::int64_t>(index);
-  record.origin = query.origin;
-  record.destination = query.destination;
-  record.departure = query.departure.to_string();
-  record.pricing = pricing_name(pricing);
-  return record;
-}
-
 /// Registry handles for the batch-level metrics, resolved once.
 struct BatchMetrics {
   obs::Histogram& queue_wait;  ///< submit-to-worker-start, per task
@@ -69,14 +54,6 @@ struct BatchMetrics {
         obs::Registry::global().counter("batch.queries_failed")};
     return metrics;
   }
-};
-
-/// What one worker task hands back through its future.
-struct QueryOutcome {
-  MlcResult result;
-  std::optional<SelectionResult> selection;
-  WorldPtr world;  ///< the snapshot the worker pinned for this query
-  double cpu_seconds = 0.0;  ///< worker-thread CPU burned on this query
 };
 
 }  // namespace
@@ -121,132 +98,62 @@ BatchResult BatchPlanner::plan_all(
   // spans beneath it) parent to the originating request even though
   // they run on pool threads with empty thread-local context.
   const obs::TraceContext trace_parent = obs::current_trace();
-  const std::string trace_hex =
-      trace_parent.valid() ? trace_parent.trace_id_hex() : std::string();
   // The profiler analog of the trace capture above: the submitting
   // thread's open span names (e.g. serve.request), re-installed on each
   // worker so its samples fold under the originating request instead of
   // appearing as a detached batch.query root.
   const std::vector<const char*> span_parent = obs::current_span_stack();
+  const SelectionOptions* const selection =
+      options_.run_selection ? &options_.selection : nullptr;
 
   const auto start = Clock::now();
   {
     common::ThreadPool pool(workers);
-    std::vector<std::future<QueryOutcome>> futures;
+    std::vector<std::future<BatchQueryResult>> futures;
     futures.reserve(queries.size());
-    obs::QueryLog* const log = options_.query_log;
     for (std::size_t i = 0; i < queries.size(); ++i) {
       const BatchQuery query = queries[i];
       const auto submitted = Clock::now();
-      futures.push_back(pool.submit([this, query, i, submitted, &metrics,
-                                     &latency, log, trace_parent,
-                                     &trace_hex, &span_parent] {
-        const auto begun = Clock::now();
-        metrics.queue_wait.observe(seconds_between(submitted, begun));
+      futures.push_back(pool.submit([this, query, i, submitted, selection,
+                                     &metrics, &latency, trace_parent,
+                                     &span_parent] {
+        metrics.queue_wait.observe(seconds_between(submitted, Clock::now()));
         const obs::TraceScope trace_scope(trace_parent);
         const obs::SpanStackScope stack_scope(span_parent);
         const obs::SpanTimer span("batch.query");
-        const double cpu_started = obs::thread_cpu_seconds();
-        // Pin this query's snapshot: in live mode each query loads the
-        // store's current world when its worker picks it up, and prices
-        // every edge against that one version end to end — a publish()
-        // racing this batch never tears a query.
-        const WorldPtr world = store_ != nullptr ? store_->current() : pinned_;
-        const MultiLabelCorrecting solver(world, options_.mlc);
-        QueryOutcome outcome;
-        outcome.world = world;
-        outcome.result = solver.search(query.origin, query.destination,
-                                       query.departure);
-        if (options_.run_selection)
-          outcome.selection = detail::select_representative_routes(
-              outcome.result.routes, world->solar_map(),
-              world->vehicle(options_.mlc.vehicle), query.departure,
-              options_.selection);
-        const double run_seconds = seconds_between(begun, Clock::now());
-        outcome.cpu_seconds = obs::thread_cpu_seconds() - cpu_started;
-        metrics.run_time.observe(run_seconds);
-        latency.observe(run_seconds);
-        detail::mlc_cpu_seconds(options_.mlc.pricing).add(outcome.cpu_seconds);
-        if (log != nullptr) {
-          obs::QueryRecord record = start_record(query, i,
-                                                 options_.mlc.pricing);
-          record.trace_id = trace_hex;
-          record.world_version = static_cast<std::int64_t>(world->version());
-          const MlcStats& stats = outcome.result.stats;
-          record.mlc_seconds = stats.search_seconds;
-          record.labels_created = stats.labels_created;
-          record.labels_dominated = stats.labels_dominated;
-          record.queue_pops = stats.queue_pops;
-          record.pareto_size = stats.pareto_size;
-          record.labels_pruned_bound = stats.labels_pruned_bound;
-          record.labels_merged_epsilon = stats.labels_merged_epsilon;
-          record.lower_bound_seconds = stats.lower_bound_seconds;
-          if (outcome.selection.has_value()) {
-            const SelectionResult& sel = *outcome.selection;
-            record.kmeans_seconds = sel.kmeans_seconds;
-            record.selection_seconds = sel.selection_seconds;
-            record.candidate_count = sel.candidates.size();
-            if (!sel.candidates.empty()) {
-              const CandidateRoute& best = sel.candidates.size() > 1
-                                               ? sel.candidates[1]
-                                               : sel.candidates[0];
-              record.travel_time_s = best.metrics.travel_time.value();
-              record.shaded_time_s = best.metrics.shaded_time.value();
-              record.energy_out_wh = best.metrics.energy_out.value();
-              record.energy_in_wh = best.metrics.energy_in.value();
-            }
-          } else if (!outcome.result.routes.empty()) {
-            // No selection pipeline: summarize the shortest-time Pareto
-            // route (what the paper falls back to).
-            const auto fastest = std::min_element(
-                outcome.result.routes.begin(), outcome.result.routes.end(),
-                [](const ParetoRoute& a, const ParetoRoute& b) {
-                  return a.cost.travel_time.value() <
-                         b.cost.travel_time.value();
-                });
-            const RouteMetrics best = detail::evaluate_route(
-                world->solar_map(), world->vehicle(options_.mlc.vehicle),
-                fastest->path, query.departure);
-            record.candidate_count = outcome.result.routes.size();
-            record.travel_time_s = best.travel_time.value();
-            record.shaded_time_s = best.shaded_time.value();
-            record.energy_out_wh = best.energy_out.value();
-            record.energy_in_wh = best.energy_in.value();
-          }
-          record.total_seconds = run_seconds;
-          record.cpu_ms = outcome.cpu_seconds * 1000.0;
-          log->write(record);
+        BatchQueryResult outcome;
+        // Caught here rather than carried by the future: a cross-thread
+        // exception_ptr is freed by whichever thread drops it last,
+        // through a refcount the thread sanitizer cannot see.
+        try {
+          // Pin this query's snapshot: in live mode each query loads the
+          // store's current world when its worker picks it up, and
+          // prices every edge against that one version end to end — a
+          // publish() racing this batch never tears a query.
+          const MultiLabelCorrecting solver(world(), options_.mlc);
+          detail::PlannedQuery planned = detail::plan_query(
+              solver, query.origin, query.destination, query.departure,
+              selection, options_.query_log, static_cast<std::int64_t>(i));
+          metrics.run_time.observe(planned.wall_seconds);
+          latency.observe(planned.wall_seconds);
+          outcome.result = std::move(planned.search);
+          outcome.selection = std::move(planned.selection);
+          outcome.world = solver.world();
+          outcome.cpu_seconds = planned.cpu_seconds;
+        } catch (const std::exception& e) {
+          outcome.error = e.what();
         }
         return outcome;
       }));
     }
     for (std::size_t i = 0; i < futures.size(); ++i) {
-      try {
-        QueryOutcome outcome = futures[i].get();
-        result.queries[i].result = std::move(outcome.result);
-        result.queries[i].selection = std::move(outcome.selection);
-        result.queries[i].world = std::move(outcome.world);
-        result.queries[i].cpu_seconds = outcome.cpu_seconds;
-      } catch (const std::exception& e) {
-        result.queries[i].error = e.what();
-        if (log != nullptr) {
-          obs::QueryRecord record =
-              start_record(queries[i], i, options_.mlc.pricing);
-          record.trace_id = trace_hex;
-          // The failing query's own snapshot died with its exception;
-          // the planner's current view is the best available stamp.
-          record.world_version =
-              static_cast<std::int64_t>(world()->version());
-          record.status = "error";
-          record.error = e.what();
-          log->write(record);
-        }
+      result.queries[i] = futures[i].get();
+      if (!result.queries[i].ok())
         SUNCHASE_LOG(Info) << "batch: query " << i << " ("
                            << queries[i].origin << "->"
                            << queries[i].destination << " @ "
                            << queries[i].departure.to_string()
-                           << ") failed: " << e.what();
-      }
+                           << ") failed: " << result.queries[i].error;
     }
   }
   const double elapsed = seconds_between(start, Clock::now());
@@ -270,18 +177,12 @@ BatchResult BatchPlanner::plan_all(
   metrics.throughput.set(result.stats.queries_per_second);
   metrics.queries_ok.add(result.stats.succeeded);
   metrics.queries_failed.add(result.stats.failed);
-  // Labeled per-pricing-mode breakdown alongside the plain totals (the
-  // plain names stay — CI and bench_compare read them). Pricing mode is
-  // a two-value enum, so cardinality is bounded by construction.
-  const obs::Labels pricing_labels{
-      {"pricing", pricing_name(options_.mlc.pricing)}};
+  // Queries per pricing mode; a two-value enum, so cardinality is
+  // bounded by construction.
   obs::Registry::global()
-      .counter("batch.queries_by_pricing", pricing_labels)
+      .counter("batch.queries_by_pricing",
+               {{"pricing", pricing_name(options_.mlc.pricing)}})
       .add(result.stats.succeeded + result.stats.failed);
-  obs::Registry::global()
-      .histogram("batch.run_seconds_by_pricing", pricing_labels,
-                 obs::latency_bounds())
-      .observe(result.stats.wall_seconds);
   SUNCHASE_LOG(Debug) << "batch: " << result.stats.succeeded << "/"
                       << queries.size() << " queries ok on " << workers
                       << " workers in " << elapsed << " s ("

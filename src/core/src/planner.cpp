@@ -1,9 +1,11 @@
 #include "sunchase/core/planner.h"
 
+#include <algorithm>
 #include <chrono>
+#include <exception>
 #include <utility>
 
-#include "sunchase/common/error.h"
+#include "sunchase/core/metrics.h"
 #include "sunchase/core/world.h"
 #include "sunchase/obs/metrics.h"
 #include "sunchase/obs/profiler.h"
@@ -22,12 +24,6 @@ double seconds_since(Clock::time_point from) {
 
 }  // namespace
 
-const CandidateRoute& PlanResult::recommended() const {
-  if (candidates.empty())
-    throw RoutingError("PlanResult::recommended: empty plan");
-  return candidates.size() > 1 ? candidates[1] : candidates[0];
-}
-
 SunChasePlanner::SunChasePlanner(WorldPtr world, PlannerOptions options)
     : options_(options), solver_(std::move(world), options.mlc) {}
 
@@ -39,61 +35,56 @@ PlanResult SunChasePlanner::plan(roadnet::NodeId origin,
                                  roadnet::NodeId destination,
                                  TimeOfDay departure) const {
   const obs::SpanTimer span("core.plan");
+  detail::PlannedQuery query =
+      detail::plan_query(solver_, origin, destination, departure,
+                         &options_.selection, options_.query_log);
+  PlanResult plan;
+  plan.candidates = std::move(query.selection->candidates);
+  plan.pareto_route_count = query.search.routes.size();
+  plan.cluster_count = query.selection->cluster_count;
+  plan.search_stats = query.search.stats;
+  plan.cpu_seconds = query.cpu_seconds;
+  return plan;
+}
+
+detail::PlannedQuery detail::plan_query(const MultiLabelCorrecting& solver,
+                                        roadnet::NodeId origin,
+                                        roadnet::NodeId destination,
+                                        TimeOfDay departure,
+                                        const SelectionOptions* selection,
+                                        obs::QueryLog* log,
+                                        std::int64_t index) {
   const auto started = Clock::now();
   const double cpu_started = obs::thread_cpu_seconds();
-  obs::QueryLog* const log = options_.query_log;
-  obs::QueryRecord record;
-  if (log != nullptr) {
-    record.mode = "plan";
+  const World& world = *solver.world();
+  const MlcOptions& mlc = solver.options();
+  // The record's identity, stamped with the snapshot this query pinned.
+  const auto new_record = [&] {
+    obs::QueryRecord record;
+    record.mode = index < 0 ? "plan" : "batch";
+    record.index = index;
     record.origin = origin;
     record.destination = destination;
     record.departure = departure.to_string();
-    record.pricing = pricing_name(options_.mlc.pricing);
-    record.world_version = static_cast<std::int64_t>(world()->version());
+    record.pricing = pricing_name(mlc.pricing);
+    record.world_version = static_cast<std::int64_t>(world.version());
     // Joins this record to the HTTP request that planned it (same id
     // the server echoes in x-sunchase-request-id and the trace export).
     if (obs::current_trace().valid())
       record.trace_id = obs::current_trace().trace_id_hex();
-  }
+    return record;
+  };
 
+  PlannedQuery query;
   try {
-    const MlcResult search = solver_.search(origin, destination, departure);
-    SelectionResult selection = detail::select_representative_routes(
-        search.routes, world()->solar_map(), vehicle(), departure,
-        options_.selection);
-
-    PlanResult plan;
-    plan.candidates = std::move(selection.candidates);
-    plan.pareto_route_count = search.routes.size();
-    plan.cluster_count = selection.cluster_count;
-    plan.search_stats = search.stats;
-    plan.cpu_seconds = obs::thread_cpu_seconds() - cpu_started;
-    detail::mlc_cpu_seconds(options_.mlc.pricing).add(plan.cpu_seconds);
-
-    if (log != nullptr) {
-      record.mlc_seconds = search.stats.search_seconds;
-      record.kmeans_seconds = selection.kmeans_seconds;
-      record.selection_seconds = selection.selection_seconds;
-      record.labels_created = search.stats.labels_created;
-      record.labels_dominated = search.stats.labels_dominated;
-      record.queue_pops = search.stats.queue_pops;
-      record.pareto_size = search.stats.pareto_size;
-      record.labels_pruned_bound = search.stats.labels_pruned_bound;
-      record.labels_merged_epsilon = search.stats.labels_merged_epsilon;
-      record.lower_bound_seconds = search.stats.lower_bound_seconds;
-      record.candidate_count = plan.candidates.size();
-      const RouteMetrics& best = plan.recommended().metrics;
-      record.travel_time_s = best.travel_time.value();
-      record.shaded_time_s = best.shaded_time.value();
-      record.energy_out_wh = best.energy_out.value();
-      record.energy_in_wh = best.energy_in.value();
-      record.total_seconds = seconds_since(started);
-      record.cpu_ms = plan.cpu_seconds * 1000.0;
-      log->write(record);
-    }
-    return plan;
+    query.search = solver.search(origin, destination, departure);
+    if (selection != nullptr)
+      query.selection = select_representative_routes(
+          query.search.routes, world.solar_map(), world.vehicle(mlc.vehicle),
+          departure, *selection);
   } catch (const std::exception& e) {
     if (log != nullptr) {
+      obs::QueryRecord record = new_record();
       record.status = "error";
       record.error = e.what();
       record.total_seconds = seconds_since(started);
@@ -102,6 +93,51 @@ PlanResult SunChasePlanner::plan(roadnet::NodeId origin,
     }
     throw;
   }
+  query.cpu_seconds = obs::thread_cpu_seconds() - cpu_started;
+  query.wall_seconds = seconds_since(started);
+  mlc_cpu_seconds(mlc.pricing).add(query.cpu_seconds);
+  if (log == nullptr) return query;
+
+  obs::QueryRecord record = new_record();
+  const MlcStats& stats = query.search.stats;
+  record.mlc_seconds = stats.search_seconds;
+  record.total_seconds = query.wall_seconds;
+  record.cpu_ms = query.cpu_seconds * 1000.0;
+  record.labels_created = stats.labels_created;
+  record.labels_dominated = stats.labels_dominated;
+  record.queue_pops = stats.queue_pops;
+  record.pareto_size = stats.pareto_size;
+  record.labels_pruned_bound = stats.labels_pruned_bound;
+  record.labels_merged_epsilon = stats.labels_merged_epsilon;
+  record.lower_bound_seconds = stats.lower_bound_seconds;
+  std::optional<RouteMetrics> best;
+  if (query.selection.has_value()) {
+    const SelectionResult& chosen = *query.selection;
+    record.kmeans_seconds = chosen.kmeans_seconds;
+    record.selection_seconds = chosen.selection_seconds;
+    record.candidate_count = chosen.candidates.size();
+    if (!chosen.candidates.empty())
+      best = recommended(chosen.candidates).metrics;
+  } else if (!query.search.routes.empty()) {
+    // No selection pipeline: summarize the shortest-time Pareto route
+    // (what the paper falls back to).
+    const auto fastest = std::min_element(
+        query.search.routes.begin(), query.search.routes.end(),
+        [](const ParetoRoute& a, const ParetoRoute& b) {
+          return a.cost.travel_time.value() < b.cost.travel_time.value();
+        });
+    record.candidate_count = query.search.routes.size();
+    best = evaluate_route(world.solar_map(), world.vehicle(mlc.vehicle),
+                          fastest->path, departure);
+  }
+  if (best.has_value()) {
+    record.travel_time_s = best->travel_time.value();
+    record.shaded_time_s = best->shaded_time.value();
+    record.energy_out_wh = best->energy_out.value();
+    record.energy_in_wh = best->energy_in.value();
+  }
+  log->write(record);
+  return query;
 }
 
 }  // namespace sunchase::core

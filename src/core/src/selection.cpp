@@ -25,6 +25,12 @@ std::size_t argmin(const std::vector<ParetoRoute>& routes, Key key) {
 
 }  // namespace
 
+const CandidateRoute& recommended(
+    const std::vector<CandidateRoute>& candidates) {
+  if (candidates.empty()) throw RoutingError("recommended: no candidates");
+  return candidates.size() > 1 ? candidates[1] : candidates[0];
+}
+
 SelectionResult select_representative_routes(
     const std::vector<ParetoRoute>& pareto, const WorldPtr& world,
     TimeOfDay departure, const SelectionOptions& options,

@@ -40,7 +40,6 @@
 namespace sunchase::obs {
 class Counter;
 class Gauge;
-class Histogram;
 }  // namespace sunchase::obs
 
 namespace sunchase::serve {
@@ -138,14 +137,12 @@ class HttpServer {
 
   // Registry handles resolved once at construction (stable for the
   // registry's lifetime; see obs::Registry).
-  obs::Counter& requests_;
   obs::Counter& rejected_;
   obs::Counter& request_timeouts_;
   obs::Counter& deadline_expired_;
   obs::Counter& connections_;
   obs::Gauge& inflight_;
   obs::Gauge& queue_depth_;
-  obs::Histogram& latency_;
 };
 
 }  // namespace sunchase::serve

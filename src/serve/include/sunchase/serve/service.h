@@ -139,6 +139,14 @@ class RouteService {
   /// request body's pricing / time_budget / vehicle fields.
   [[nodiscard]] core::MlcOptions mlc_options_from(const JsonValue& body);
 
+  /// Stores an answered query's recommended route `chosen`, priced on
+  /// `world` under `mlc`, in the explain ledger and returns its
+  /// query_id — the one place /plan and /batch build a LedgerEntry.
+  [[nodiscard]] std::uint64_t record_answer(
+      core::WorldPtr world, const core::BatchQuery& query,
+      const core::MlcOptions& mlc, const core::CandidateRoute& chosen,
+      const core::MlcStats& stats, double cpu_seconds);
+
   core::WorldStore& store_;
   RouteServiceOptions options_;
   QueryLedger ledger_;

@@ -45,7 +45,6 @@ void set_recv_timeout(int fd, int millis) {
 HttpServer::HttpServer(RouteService& service, HttpServerOptions options)
     : service_(service),
       options_(std::move(options)),
-      requests_(obs::Registry::global().counter("serve.requests")),
       rejected_(obs::Registry::global().counter("serve.rejected")),
       request_timeouts_(
           obs::Registry::global().counter("serve.request_timeouts")),
@@ -53,8 +52,7 @@ HttpServer::HttpServer(RouteService& service, HttpServerOptions options)
           obs::Registry::global().counter("serve.deadline_expired")),
       connections_(obs::Registry::global().counter("serve.connections")),
       inflight_(obs::Registry::global().gauge("serve.inflight")),
-      queue_depth_(obs::Registry::global().gauge("serve.queue_depth")),
-      latency_(obs::Registry::global().histogram("serve.latency_seconds")) {
+      queue_depth_(obs::Registry::global().gauge("serve.queue_depth")) {
   if (options_.workers == 0)
     throw InvalidArgument("HttpServer: workers must be positive");
   if (options_.queue_capacity == 0)
@@ -310,11 +308,8 @@ HttpResponse HttpServer::process(const HttpRequest& request) {
   }
 
   inflight_.add(-1.0);
-  requests_.add();
-  latency_.observe(elapsed);
-  // Labeled breakdown next to the plain totals (which stay for existing
-  // scrapers): endpoint comes from the bounded route_label set and
-  // status from the fixed code set, so cardinality cannot run away.
+  // Endpoint comes from the bounded route_label set and status from the
+  // fixed code set, so cardinality cannot run away.
   const obs::Labels endpoint_labels{
       {"endpoint", RouteService::route_label(request.target)},
       {"status", std::to_string(response.status)}};

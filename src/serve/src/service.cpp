@@ -56,6 +56,15 @@ TimeOfDay departure_from(const JsonValue& body) {
   return TimeOfDay::parse(member->as_string());
 }
 
+/// One trip of a /plan body or of a /batch "queries" element.
+core::BatchQuery query_from(const JsonValue& value) {
+  core::BatchQuery query;
+  query.origin = node_from(value, "origin");
+  query.destination = node_from(value, "destination");
+  query.departure = departure_from(value);
+  return query;
+}
+
 /// One candidate route as a response object (shared by /plan, /batch).
 std::string candidate_json(const core::CandidateRoute& c) {
   std::string out = "{";
@@ -75,14 +84,6 @@ std::string candidate_json(const core::CandidateRoute& c) {
   out += ",\"extra_time_s\":" + num(c.extra_time.value());
   out += "}";
   return out;
-}
-
-/// The recommended candidate of a selection: the best better-solar
-/// route when one survived, otherwise the shortest-time path — the same
-/// rule as PlanResult::recommended().
-const core::CandidateRoute& recommended_of(
-    const std::vector<core::CandidateRoute>& candidates) {
-  return candidates.size() > 1 ? candidates[1] : candidates.front();
 }
 
 /// The value of `?name=` in a request target, or nullopt when absent.
@@ -323,11 +324,32 @@ core::MlcOptions RouteService::mlc_options_from(const JsonValue& body) {
   return mlc;
 }
 
+std::uint64_t RouteService::record_answer(core::WorldPtr world,
+                                          const core::BatchQuery& query,
+                                          const core::MlcOptions& mlc,
+                                          const core::CandidateRoute& chosen,
+                                          const core::MlcStats& stats,
+                                          double cpu_seconds) {
+  LedgerEntry entry;
+  entry.world = std::move(world);
+  entry.origin = query.origin;
+  entry.destination = query.destination;
+  entry.departure = query.departure;
+  entry.pricing = mlc.pricing;
+  entry.time_dependent = mlc.time_dependent;
+  entry.vehicle = mlc.vehicle;
+  entry.route = chosen.route.path;
+  entry.cost = chosen.route.cost;
+  entry.trace_id = obs::current_trace().trace_id_hex();
+  entry.cpu_ms = cpu_seconds * 1000.0;
+  entry.labels_created = stats.labels_created;
+  entry.queue_pops = stats.queue_pops;
+  return ledger_.record(std::move(entry));
+}
+
 HttpResponse RouteService::handle_plan(const HttpRequest& request) {
   const JsonValue body = JsonValue::parse(request.body);
-  const roadnet::NodeId origin = node_from(body, "origin");
-  const roadnet::NodeId destination = node_from(body, "destination");
-  const TimeOfDay departure = departure_from(body);
+  const core::BatchQuery query = query_from(body);
 
   core::PlannerOptions popts;
   popts.mlc = mlc_options_from(body);
@@ -338,33 +360,20 @@ HttpResponse RouteService::handle_plan(const HttpRequest& request) {
   // landing mid-plan changes nothing we read.
   const core::WorldPtr world = store_.current();
   const core::SunChasePlanner planner(world, popts);
-  const core::PlanResult plan = planner.plan(origin, destination, departure);
-  const core::CandidateRoute& chosen = plan.recommended();
-
-  LedgerEntry entry;
-  entry.world = world;
-  entry.origin = origin;
-  entry.destination = destination;
-  entry.departure = departure;
-  entry.pricing = popts.mlc.pricing;
-  entry.time_dependent = popts.mlc.time_dependent;
-  entry.vehicle = popts.mlc.vehicle;
-  entry.route = chosen.route.path;
-  entry.cost = chosen.route.cost;
-  entry.trace_id = obs::current_trace().trace_id_hex();
-  entry.cpu_ms = plan.cpu_seconds * 1000.0;
-  entry.labels_created = plan.search_stats.labels_created;
-  entry.queue_pops = plan.search_stats.queue_pops;
-  const std::uint64_t query_id = ledger_.record(std::move(entry));
+  const core::PlanResult plan =
+      planner.plan(query.origin, query.destination, query.departure);
+  const std::uint64_t query_id =
+      record_answer(world, query, popts.mlc, plan.recommended(),
+                    plan.search_stats, plan.cpu_seconds);
   counter("serve.plans").add();
 
   std::string out = "{";
   out += "\"query_id\":" + std::to_string(query_id);
   out += ",\"world_version\":" + std::to_string(world->version());
   out += ",\"pricing\":" + json_quote(core::pricing_name(popts.mlc.pricing));
-  out += ",\"origin\":" + std::to_string(origin);
-  out += ",\"destination\":" + std::to_string(destination);
-  out += ",\"departure\":" + json_quote(departure.to_string());
+  out += ",\"origin\":" + std::to_string(query.origin);
+  out += ",\"destination\":" + std::to_string(query.destination);
+  out += ",\"departure\":" + json_quote(query.departure.to_string());
   out += ",\"pareto_routes\":" + std::to_string(plan.pareto_route_count);
   out += ",\"clusters\":" + std::to_string(plan.cluster_count);
   out += ",\"recommended\":" +
@@ -409,13 +418,8 @@ HttpResponse RouteService::handle_batch(const HttpRequest& request) {
 
   std::vector<core::BatchQuery> queries;
   queries.reserve(query_values.size());
-  for (const JsonValue& value : query_values) {
-    core::BatchQuery query;
-    query.origin = node_from(value, "origin");
-    query.destination = node_from(value, "destination");
-    query.departure = departure_from(value);
-    queries.push_back(query);
-  }
+  for (const JsonValue& value : query_values)
+    queries.push_back(query_from(value));
 
   core::BatchPlannerOptions bopts;
   bopts.workers = options_.batch_workers;
@@ -451,22 +455,10 @@ HttpResponse RouteService::handle_batch(const HttpRequest& request) {
     version_max = std::max(version_max, version);
 
     const core::CandidateRoute& chosen =
-        recommended_of(qr.selection->candidates);
-    LedgerEntry entry;
-    entry.world = qr.world;
-    entry.origin = queries[i].origin;
-    entry.destination = queries[i].destination;
-    entry.departure = queries[i].departure;
-    entry.pricing = bopts.mlc.pricing;
-    entry.time_dependent = bopts.mlc.time_dependent;
-    entry.vehicle = bopts.mlc.vehicle;
-    entry.route = chosen.route.path;
-    entry.cost = chosen.route.cost;
-    entry.trace_id = obs::current_trace().trace_id_hex();
-    entry.cpu_ms = qr.cpu_seconds * 1000.0;
-    entry.labels_created = qr.result->stats.labels_created;
-    entry.queue_pops = qr.result->stats.queue_pops;
-    const std::uint64_t query_id = ledger_.record(std::move(entry));
+        core::recommended(qr.selection->candidates);
+    const std::uint64_t query_id =
+        record_answer(qr.world, queries[i], bopts.mlc, chosen,
+                      qr.result->stats, qr.cpu_seconds);
 
     rows += ",\"status\":\"ok\"";
     rows += ",\"query_id\":" + std::to_string(query_id);
@@ -618,10 +610,7 @@ HttpResponse RouteService::handle_healthz() {
   out += draining() ? "true" : "false";
   out += ",\"world_version\":" + std::to_string(store_.current()->version());
   out += ",\"uptime_seconds\":" + num(uptime);
-  // queries_served is the canonical name; queries_recorded stays for
-  // probes written against the older body.
   out += ",\"queries_served\":" + std::to_string(ledger_.recorded());
-  out += ",\"queries_recorded\":" + std::to_string(ledger_.recorded());
   out += "}";
   return json_response(200, std::move(out));
 }

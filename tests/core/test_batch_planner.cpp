@@ -11,7 +11,9 @@
 #include "core_fixture.h"
 #include "obs/json_check.h"
 #include "sunchase/common/error.h"
+#include "sunchase/core/planner.h"
 #include "sunchase/obs/query_log.h"
+#include "sunchase/obs/trace.h"
 
 namespace sunchase::core {
 namespace {
@@ -25,6 +27,20 @@ std::vector<BatchQuery> grid_queries(const roadnet::GridCity& city) {
       {city.node_at(5, 1), city.node_at(2, 8), TimeOfDay::hms(14, 15)},
       {city.node_at(0, 9), city.node_at(9, 0), TimeOfDay::hms(16, 0)},
   };
+}
+
+/// A query-log line without mode, index and the timing fields: what
+/// the plan and the batch record of one query must share.
+std::string without_mode_and_timing(std::string line) {
+  for (const char* key :
+       {"mode", "index", "mlc_seconds", "kmeans_seconds", "selection_seconds",
+        "total_seconds", "cpu_ms", "lower_bound_seconds"}) {
+    const std::size_t at = line.find(std::string("\"") + key + "\":");
+    if (at == std::string::npos) continue;
+    const std::size_t end = line.find_first_of(",}", at);
+    line.erase(at, end - at + (line[end] == ',' ? 1 : 0));
+  }
+  return line;
 }
 
 /// Bit-identical equality — no epsilon. A parallel batch must replay
@@ -366,8 +382,62 @@ TEST(BatchPlanner, FailedQueriesStillProduceAnErrorRecord) {
   EXPECT_EQ(result.stats.failed, 1u);
   EXPECT_EQ(log.record_count(), queries.size());
   const std::string text = sink.str();
-  EXPECT_NE(text.find("\"status\":\"error\""), std::string::npos);
   EXPECT_NE(text.find("unreachable"), std::string::npos);
+
+  // The worker writes the error record itself: timed like any other
+  // query and stamped with the snapshot it pinned.
+  const std::size_t begin = text.find("\"index\":1,");
+  ASSERT_NE(begin, std::string::npos);
+  const std::string line = text.substr(begin, text.find('\n', begin) - begin);
+  EXPECT_NE(line.find("\"status\":\"error\""), std::string::npos) << line;
+  EXPECT_NE(line.find("\"world.version\":" +
+                      std::to_string(batch.world()->version()) + ","),
+            std::string::npos)
+      << line;
+  const std::size_t total = line.find("\"total_seconds\":");
+  ASSERT_NE(total, std::string::npos) << line;
+  EXPECT_GT(std::strtod(line.c_str() + total + 16, nullptr), 0.0) << line;
+}
+
+TEST(BatchPlanner, OneQueryBatchWritesTheRecordPlanWrites) {
+  const roadnet::GridCity city{roadnet::GridCityOptions{}};
+  test::RoutingEnv env(city.graph());
+  // Both records must carry the same request trace id.
+  const obs::TraceScope trace(obs::TraceContext::generate());
+  const BatchQuery query{city.node_at(1, 1), city.node_at(8, 8),
+                         TimeOfDay::hms(10, 0)};
+  for (const PricingMode pricing :
+       {PricingMode::Exact, PricingMode::SlotQuantized}) {
+    std::ostringstream plan_sink;
+    obs::QueryLog plan_log(plan_sink);
+    PlannerOptions plan_options;
+    plan_options.mlc.pricing = pricing;
+    plan_options.query_log = &plan_log;
+    const SunChasePlanner planner(env.world, plan_options);
+    (void)planner.plan(query.origin, query.destination, query.departure);
+
+    std::ostringstream batch_sink;
+    obs::QueryLog batch_log(batch_sink);
+    BatchPlannerOptions batch_options;
+    batch_options.workers = 1;
+    batch_options.mlc.pricing = pricing;
+    batch_options.run_selection = true;
+    batch_options.query_log = &batch_log;
+    const BatchPlanner batch(env.world, batch_options);
+    ASSERT_EQ(batch.plan_all({query}).stats.succeeded, 1u);
+
+    const std::string plan_record = plan_sink.str();
+    const std::string batch_record = batch_sink.str();
+    EXPECT_TRUE(plan_record.starts_with("{\"mode\":\"plan\",\"origin\":"))
+        << plan_record;
+    EXPECT_TRUE(batch_record.starts_with("{\"mode\":\"batch\",\"index\":0,"))
+        << batch_record;
+    EXPECT_NE(plan_record.find("\"trace_id\":"), std::string::npos);
+    EXPECT_NE(plan_record.find("\"travel_time_s\":"), std::string::npos);
+    EXPECT_EQ(without_mode_and_timing(plan_record),
+              without_mode_and_timing(batch_record))
+        << pricing_name(pricing);
+  }
 }
 
 TEST(BatchPlanner, InvalidMlcOptionsRejectedAtConstruction) {

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <sstream>
 #include <string>
@@ -64,7 +65,9 @@ TEST_F(ServeServiceTest, HealthzReportsWorldVersionAndDrainState) {
   JsonValue body = call(make_request("GET", "/healthz"), 200);
   EXPECT_EQ(body.string_or("status", ""), "ok");
   EXPECT_DOUBLE_EQ(body.number_or("world_version", 0), 1.0);
-  EXPECT_DOUBLE_EQ(body.number_or("queries_recorded", -1), 0.0);
+  EXPECT_DOUBLE_EQ(body.number_or("queries_served", -1), 0.0);
+  // One name per fact: no queries_recorded alias.
+  EXPECT_EQ(body.find("queries_recorded"), nullptr);
 
   service_.set_draining(true);
   body = call(make_request("GET", "/healthz?probe=1"), 200);
@@ -605,6 +608,68 @@ TEST_F(ServeServiceTest, BatchResponsesAndLedgerCarryCpuSeconds) {
     const auto entry = service_.ledger().find(id);
     ASSERT_TRUE(entry.has_value());
     EXPECT_GT(entry->cpu_ms, 0.0);
+  }
+}
+
+/// Structural equality of two parsed JSON values, member order included.
+bool same_json(const JsonValue& a, const JsonValue& b) {
+  if (a.type() != b.type()) return false;
+  switch (a.type()) {
+    case JsonValue::Type::Null:
+      return true;
+    case JsonValue::Type::Bool:
+      return a.as_bool() == b.as_bool();
+    case JsonValue::Type::Number:
+      return a.as_number() == b.as_number();
+    case JsonValue::Type::String:
+      return a.as_string() == b.as_string();
+    case JsonValue::Type::Array:
+      return std::equal(a.as_array().begin(), a.as_array().end(),
+                        b.as_array().begin(), b.as_array().end(), same_json);
+    case JsonValue::Type::Object:
+      return std::equal(
+          a.as_object().begin(), a.as_object().end(), b.as_object().begin(),
+          b.as_object().end(),
+          [](const JsonValue::Member& x, const JsonValue::Member& y) {
+            return x.first == y.first && same_json(x.second, y.second);
+          });
+  }
+  return false;
+}
+
+TEST_F(ServeServiceTest, PlanAndBatchLeaveTheSameExplainLedger) {
+  const std::string trip = plan_body(city_.node_at(1, 1), city_.node_at(8, 8));
+  const JsonValue plan = call(make_request("POST", "/plan", trip), 200);
+  const JsonValue batch = call(
+      make_request("POST", "/batch", "{\"queries\":[" + trip + "]}"), 200);
+  const JsonValue& row = batch.find("results")->as_array().at(0);
+  const auto plan_id =
+      static_cast<std::uint64_t>(plan.number_or("query_id", 0));
+  const auto batch_id =
+      static_cast<std::uint64_t>(row.number_or("query_id", 0));
+  ASSERT_NE(plan_id, batch_id);
+
+  const JsonValue plan_explain = call(
+      make_request("GET", "/explain/" + std::to_string(plan_id)), 200);
+  const JsonValue batch_explain = call(
+      make_request("GET", "/explain/" + std::to_string(batch_id)), 200);
+  // Everything but the request's identity and what it cost.
+  const auto answer = [](const JsonValue& explain) {
+    JsonValue::Object members;
+    for (const JsonValue::Member& member : explain.as_object())
+      if (member.first != "query_id" && member.first != "trace_id" &&
+          member.first != "cost_accounting")
+        members.push_back(member);
+    return members;
+  };
+  const JsonValue::Object from_plan = answer(plan_explain);
+  const JsonValue::Object from_batch = answer(batch_explain);
+  ASSERT_EQ(from_plan.size(), from_batch.size());
+  ASSERT_NE(plan_explain.find("ledger"), nullptr);
+  for (std::size_t i = 0; i < from_plan.size(); ++i) {
+    EXPECT_EQ(from_plan[i].first, from_batch[i].first);
+    EXPECT_TRUE(same_json(from_plan[i].second, from_batch[i].second))
+        << from_plan[i].first;
   }
 }
 
