@@ -6,7 +6,9 @@
 // tame; this bench tracks what the budget pruning actually saves
 // (labels created, queue pops, dominance checks, latency) and what an
 // approximate merge costs in Pareto coverage. Writes BENCH_mlc.json for
-// CI trend tracking (tools/bench_compare.py gates on it).
+// CI trend tracking (tools/bench_compare.py gates on it). Exits 1 when
+// the pruned and unpruned frontiers differ, or when two repeats of one
+// configuration report different counts.
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
@@ -79,11 +81,30 @@ struct Sample {
   std::size_t queue_pops = 0;
   std::size_t pareto_size = 0;
   std::size_t dominance_checks = 0;  ///< bag rows the insert scans read
+  /// False when two repeats reported different counts.
+  bool deterministic = true;
+
+  [[nodiscard]] double checks_per_label() const {
+    if (labels_created == 0) return 0.0;
+    return static_cast<double>(dominance_checks) /
+           static_cast<double>(labels_created);
+  }
 };
 
-/// Best-of-`repeats` search at one configuration; stats come from the
-/// fastest repeat (all repeats produce identical stats — the search is
-/// deterministic — so "best" only picks the least-noisy timing).
+/// The counts a repeat must reproduce exactly.
+bool same_counts(const Sample& s, const core::MlcStats& stats) {
+  return s.labels_created == stats.labels_created &&
+         s.labels_pruned_bound == stats.labels_pruned_bound &&
+         s.labels_merged_epsilon == stats.labels_merged_epsilon &&
+         s.queue_pops == stats.queue_pops &&
+         s.pareto_size == stats.pareto_size &&
+         s.dominance_checks == stats.dominance_checks;
+}
+
+/// Best-of-`repeats` search at one configuration; timings come from the
+/// fastest repeat. The search is deterministic, so every repeat must
+/// report the same counts; `deterministic` records whether they did (a
+/// kernel reading garbage bag lanes would not).
 Sample run_config(int n, bool prune, double epsilon, int repeats) {
   ScalingWorld& w = world_of(n);
   core::MlcOptions opt;
@@ -95,21 +116,23 @@ Sample run_config(int n, bool prune, double epsilon, int repeats) {
   s.n = n;
   s.mode = prune ? "pruned" : "unpruned";
   s.epsilon = epsilon;
-  double best = -1.0;
   for (int r = 0; r < repeats; ++r) {
     const auto result = solver.search(w.city.node_at(0, 0),
                                       w.city.node_at(n - 1, n - 1),
                                       TimeOfDay::hms(10, 0));
-    if (best < 0.0 || result.stats.search_seconds < best) {
-      best = result.stats.search_seconds;
-      s.search_seconds = result.stats.search_seconds;
-      s.lower_bound_seconds = result.stats.lower_bound_seconds;
+    if (r == 0) {
       s.labels_created = result.stats.labels_created;
       s.labels_pruned_bound = result.stats.labels_pruned_bound;
       s.labels_merged_epsilon = result.stats.labels_merged_epsilon;
       s.queue_pops = result.stats.queue_pops;
       s.pareto_size = result.stats.pareto_size;
       s.dominance_checks = result.stats.dominance_checks;
+    } else if (!same_counts(s, result.stats)) {
+      s.deterministic = false;
+    }
+    if (r == 0 || result.stats.search_seconds < s.search_seconds) {
+      s.search_seconds = result.stats.search_seconds;
+      s.lower_bound_seconds = result.stats.lower_bound_seconds;
     }
   }
   s.queries_per_second = s.search_seconds > 0.0 ? 1.0 / s.search_seconds : 0.0;
@@ -166,23 +189,38 @@ int main(int argc, char** argv) {
   bench::banner("MLC search-space pruning scaling",
                 "budget pruning + epsilon-dominance on the Pareto search");
 
-  const std::vector<int> sizes = {6, 8, 10, 12};
+  // 16-32 are the sizes where bags grow to hundreds of rows and the
+  // insert scan dominates the search (about 381 rows read per label at
+  // n = 32).
+  const std::vector<int> sizes = {6, 8, 10, 12, 16, 24, 32};
   const int largest = sizes.back();
+
+  // A repeat that disagrees with the first on any count fails the run.
+  bool deterministic = true;
+  auto check_repeats = [&](const Sample& s) {
+    if (s.deterministic) return;
+    deterministic = false;
+    std::fprintf(stderr,
+                 "error: repeats disagree on counts at n=%d %s epsilon=%.2f\n",
+                 s.n, s.mode, s.epsilon);
+  };
 
   std::vector<Sample> samples;
   std::printf("corner-to-corner searches, time budget 1.1x, 10:00, "
               "best of %d\n\n", repeats);
-  std::printf("%4s %9s %8s %9s %8s %10s %10s %7s %10s\n", "n", "mode",
-              "ms", "lb_ms", "labels", "pruned", "pops", "pareto", "checks");
+  std::printf("%4s %9s %8s %9s %8s %10s %10s %7s %10s %12s\n", "n", "mode",
+              "ms", "lb_ms", "labels", "pruned", "pops", "pareto", "checks",
+              "checks/label");
   for (const int n : sizes) {
     for (const bool prune : {false, true}) {
       const Sample s = run_config(n, prune, 0.0, repeats);
+      check_repeats(s);
       samples.push_back(s);
-      std::printf("%4d %9s %8.2f %9.3f %8zu %10zu %10zu %7zu %10zu\n", s.n,
-                  s.mode, s.search_seconds * 1e3,
+      std::printf("%4d %9s %8.2f %9.3f %8zu %10zu %10zu %7zu %10zu %12.1f\n",
+                  s.n, s.mode, s.search_seconds * 1e3,
                   s.lower_bound_seconds * 1e3, s.labels_created,
                   s.labels_pruned_bound, s.queue_pops, s.pareto_size,
-                  s.dominance_checks);
+                  s.dominance_checks, s.checks_per_label());
     }
   }
 
@@ -207,18 +245,21 @@ int main(int argc, char** argv) {
   };
   std::vector<EpsSample> sweep;
   std::printf("\nepsilon sweep (n=%d, pruning on)\n", largest);
-  std::printf("%8s %8s %8s %10s %7s %10s %12s\n", "epsilon", "ms",
-              "labels", "merged", "pareto", "checks", "coverage_err");
+  std::printf("%8s %8s %8s %10s %7s %10s %12s %12s\n", "epsilon", "ms",
+              "labels", "merged", "pareto", "checks", "checks/label",
+              "coverage_err");
   for (const double epsilon : {0.0, 0.01, 0.05, 0.10}) {
     EpsSample es;
     es.epsilon = epsilon;
     es.run = run_config(largest, true, epsilon, repeats);
+    check_repeats(es.run);
     es.coverage_err = coverage_error(exact, frontier(largest, true, epsilon));
     sweep.push_back(es);
-    std::printf("%8.2f %8.2f %8zu %10zu %7zu %10zu %12.4f\n", epsilon,
+    std::printf("%8.2f %8.2f %8zu %10zu %7zu %10zu %12.1f %12.4f\n", epsilon,
                 es.run.search_seconds * 1e3, es.run.labels_created,
                 es.run.labels_merged_epsilon, es.run.pareto_size,
-                es.run.dominance_checks, es.coverage_err);
+                es.run.dominance_checks, es.run.checks_per_label(),
+                es.coverage_err);
   }
 
   const char* json_path = argc > 2 ? argv[2] : "BENCH_mlc.json";
@@ -236,12 +277,14 @@ int main(int argc, char** argv) {
                    "\"lower_bound_seconds\": %.6f, "
                    "\"labels_created\": %zu, \"labels_pruned_bound\": %zu, "
                    "\"labels_merged_epsilon\": %zu, \"queue_pops\": %zu, "
-                   "\"pareto_size\": %zu, \"dominance_checks\": %zu}%s\n",
+                   "\"pareto_size\": %zu, \"dominance_checks\": %zu, "
+                   "\"dominance_checks_per_label\": %.3f}%s\n",
                    s.n, s.mode, s.epsilon, s.queries_per_second,
                    s.search_seconds, s.lower_bound_seconds,
                    s.labels_created, s.labels_pruned_bound,
                    s.labels_merged_epsilon, s.queue_pops, s.pareto_size,
-                   s.dominance_checks, i + 1 < samples.size() ? "," : "");
+                   s.dominance_checks, s.checks_per_label(),
+                   i + 1 < samples.size() ? "," : "");
     }
     std::fprintf(f, "  ],\n  \"epsilon_sweep\": [\n");
     for (std::size_t i = 0; i < sweep.size(); ++i) {
@@ -250,11 +293,14 @@ int main(int argc, char** argv) {
                    "    {\"epsilon\": %.4f, \"search_seconds\": %.6f, "
                    "\"labels_created\": %zu, "
                    "\"labels_merged_epsilon\": %zu, \"pareto_size\": %zu, "
-                   "\"dominance_checks\": %zu, \"coverage_error\": %.6f}%s\n",
+                   "\"dominance_checks\": %zu, "
+                   "\"dominance_checks_per_label\": %.3f, "
+                   "\"coverage_error\": %.6f}%s\n",
                    es.epsilon, es.run.search_seconds,
                    es.run.labels_created, es.run.labels_merged_epsilon,
                    es.run.pareto_size, es.run.dominance_checks,
-                   es.coverage_err, i + 1 < sweep.size() ? "," : "");
+                   es.run.checks_per_label(), es.coverage_err,
+                   i + 1 < sweep.size() ? "," : "");
     }
     // Registry snapshot: the mlc.* counter family (created / pruned /
     // merged / lower-bound build seconds) for CI trend tracking.
@@ -267,5 +313,5 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "error: cannot write %s\n", json_path);
     return 1;
   }
-  return 0;
+  return deterministic ? 0 : 1;
 }

@@ -43,9 +43,10 @@ namespace detail {
 
 }  // namespace detail
 
-// The comparisons below are inline: the label search calls them in its
-// innermost loops (bag scans, heap sifts), hundreds of thousands of
-// times per query.
+// The comparisons below are inline: the label search's heap sifts call
+// lex_less hundreds of thousands of times per query. Its bag scan
+// restates the reject, epsilon-merge and dominates() tests a block of
+// rows at a time (detail/bag_block.h), with the same comparisons.
 
 /// Pareto dominance: a dominates b iff a <= b in every criterion and
 /// a < b in at least one (Sec. III-B), with epsilon tolerance — no

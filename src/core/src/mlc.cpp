@@ -1,6 +1,7 @@
 #include "sunchase/core/mlc.h"
 
 #include <algorithm>
+#include <bit>
 #include <chrono>
 #include <cmath>
 #include <queue>
@@ -9,6 +10,7 @@
 
 #include "sunchase/common/error.h"
 #include "sunchase/common/logging.h"
+#include "sunchase/core/detail/bag_block.h"
 #include "sunchase/core/dijkstra.h"
 #include "sunchase/core/slot_cost_cache.h"
 #include "sunchase/core/world.h"
@@ -59,12 +61,112 @@ struct Label {
   bool alive = true;  ///< false once dominated (lazy queue deletion)
 };
 
-/// One row of a node's bag: a live label's cost inline beside its arena
-/// index, so a dominance scan reads one contiguous array.
-struct BagRow {
-  Criteria cost;
-  std::uint32_t label;
+/// One node's bag: its live labels' costs and arena indices in creation
+/// order, four rows to a block (detail/bag_block.h); `blocks` always
+/// holds ceil(size / 4) blocks.
+struct Bag {
+  std::vector<detail::BagBlock> blocks;
+  std::uint32_t size = 0;
+
+  /// Valid-lane mask of block `b`: all four lanes but in the last block.
+  [[nodiscard]] unsigned valid(std::size_t b) const noexcept {
+    const std::size_t left = size - 4 * b;
+    return left >= 4 ? detail::kFullBlock : (1u << left) - 1u;
+  }
+
+  [[nodiscard]] Criteria cost(std::uint32_t row) const noexcept {
+    const detail::BagBlock& b = blocks[row / 4];
+    const std::uint32_t lane = row % 4;
+    Criteria cost;
+    cost.travel_time = Seconds{b.time[lane]};
+    cost.shaded_time = Seconds{b.shade[lane]};
+    cost.energy_out = WattHours{b.energy[lane]};
+    return cost;
+  }
+
+  [[nodiscard]] std::uint32_t label(std::uint32_t row) const noexcept {
+    return blocks[row / 4].label[row % 4];
+  }
+
+  void push(const Criteria& cost, std::uint32_t label) {
+    const std::uint32_t lane = size % 4;
+    if (lane == 0) blocks.emplace_back();  // value-initialized
+    detail::BagBlock& b = blocks.back();
+    b.time[lane] = cost.travel_time.value();
+    b.shade[lane] = cost.shaded_time.value();
+    b.energy[lane] = cost.energy_out.value();
+    b.label[lane] = label;
+    ++size;
+  }
 };
+
+/// Step 2 of Algorithm 1 for one candidate cost at a node: true when no
+/// bag row rejects (or, with Merge, epsilon-merges) it, in which case
+/// the rows it dominates are gone from the bag and dead in the arena.
+/// The scan tests whole blocks, and the lowest set bit of the stop mask
+/// is the first stopping row in creation order, so `dominance_checks`
+/// and `labels_merged_epsilon` count what a row-by-row scan would. The
+/// "candidate dominates a row" test runs only for accepted candidates,
+/// and the compaction is stable, so the bag keeps creation order.
+template <bool Merge>
+bool admit(Bag& bag, const detail::Candidate& c, std::vector<Label>& arena,
+           MlcStats& stats) {
+  namespace block = detail::block;
+  const std::size_t blocks = (bag.size + 3) / 4;
+  // Two blocks per step, so one branch decides eight rows.
+  for (std::size_t b = 0; b < blocks; b += 2) {
+    const detail::BagBlock* at = &bag.blocks[b];
+    const bool pair = b + 1 < blocks;
+    unsigned rejects = block::reject_rows(at[0], c, bag.valid(b));
+    if (pair) rejects |= block::reject_rows(at[1], c, bag.valid(b + 1)) << 4;
+    unsigned stop = rejects;
+    if constexpr (Merge) {
+      stop |= block::merge_rows(at[0], c, bag.valid(b));
+      if (pair) stop |= block::merge_rows(at[1], c, bag.valid(b + 1)) << 4;
+    }
+    if (stop == 0) continue;
+    const auto first = static_cast<std::size_t>(std::countr_zero(stop));
+    stats.dominance_checks += 4 * b + first + 1;
+    // A row that both rejects and merges the candidate rejects it.
+    if constexpr (Merge) {
+      if ((rejects >> first & 1u) == 0) ++stats.labels_merged_epsilon;
+    }
+    return false;
+  }
+  stats.dominance_checks += bag.size;
+
+  // The first block holding a row the candidate dominates, if any.
+  std::size_t b = 0;
+  for (; b < blocks; ++b)
+    if (block::dominated_rows(bag.blocks[b], c, bag.valid(b)) != 0) break;
+  if (b == blocks) return true;
+  // Step 2c: drop the dominated rows (their queue entries die lazily via
+  // the alive flag). Rows move only to lower positions already read.
+  auto kept = static_cast<std::uint32_t>(4 * b);
+  for (; b < blocks; ++b) {
+    detail::BagBlock& from = bag.blocks[b];
+    const unsigned valid = bag.valid(b);
+    const unsigned dead = block::dominated_rows(from, c, valid);
+    for (unsigned lane = 0; lane < 4; ++lane) {
+      if ((valid >> lane & 1u) == 0) break;
+      if ((dead >> lane & 1u) != 0) {
+        arena[from.label[lane]].alive = false;
+        ++stats.labels_dominated;
+        continue;
+      }
+      detail::BagBlock& to = bag.blocks[kept / 4];
+      const std::uint32_t at = kept % 4;
+      to.time[at] = from.time[lane];
+      to.shade[at] = from.shade[lane];
+      to.energy[at] = from.energy[lane];
+      to.label[at] = from.label[lane];
+      ++kept;
+    }
+  }
+  bag.size = kept;
+  bag.blocks.resize((kept + 3) / 4);
+  return true;
+}
 
 struct QueueEntry {
   Criteria cost;  ///< the label's cost, the ordering key
@@ -165,12 +267,12 @@ MlcResult MultiLabelCorrecting::search(roadnet::NodeId origin,
 
   std::vector<Label> arena;
   arena.reserve(1024);
-  std::vector<std::vector<BagRow>> bags(graph.node_count());
+  std::vector<Bag> bags(graph.node_count());
   std::priority_queue<QueueEntry, std::vector<QueueEntry>, LexGreater> queue;
 
   // Initialization: L(origin) = (origin, (0,0,0), NULL).
   arena.push_back(Label{origin, roadnet::kInvalidEdge, -1, true});
-  bags[origin].push_back(BagRow{Criteria{}, 0});
+  bags[origin].push(Criteria{}, 0);
   queue.push(QueueEntry{Criteria{}, 0});
   result.stats.labels_created = 1;
 
@@ -183,61 +285,20 @@ MlcResult MultiLabelCorrecting::search(roadnet::NodeId origin,
       cache_->record_lookups(slot_lookups - slot_misses, slot_misses);
   };
 
-  // Inserts `cost` at node v unless a bag row rejects it; drops the rows
-  // it dominates. One pass over the bag decides both, with every test
-  // the exact fuzzy comparison of criteria.h:
-  //  - a row rejects the new cost when equivalent(row, cost) ||
-  //    dominates(row, cost), i.e. when no criterion has
-  //    row > cost + kCriteriaEpsilon, so the new side's bounds are
-  //    computed once per insert rather than once per row;
-  //  - when the new cost is slower than the row by more than the
-  //    tolerance (the common case: labels pop in travel-time order),
-  //    fuzzy_cmp calls it worse in time, so it cannot dominate the row
-  //    and the full dominates() test is skipped.
+  // Inserts `cost` at node v unless a bag row rejects it (admit()).
+  // Whether epsilon-merging is on is decided here, once per insert, so
+  // the exact (epsilon = 0) scan never evaluates the relaxed merge.
   const double epsilon = options_.epsilon;
   auto try_insert = [&](roadnet::NodeId v, const Criteria& cost,
                         roadnet::EdgeId via, std::int32_t parent) {
-    std::vector<BagRow>& bag = bags[v];
-    const double time = cost.travel_time.value();
-    const double time_hi = time + kCriteriaEpsilon;
-    const double shade_hi = cost.shaded_time.value() + kCriteriaEpsilon;
-    const double energy_hi = cost.energy_out.value() + kCriteriaEpsilon;
-    std::size_t checked = 0;
-    bool rejected = false;
-    bool dominates_a_row = false;
-    for (const BagRow& row : bag) {
-      ++checked;
-      const double row_time = row.cost.travel_time.value();
-      const double row_shade = row.cost.shaded_time.value();
-      const double row_energy = row.cost.energy_out.value();
-      const bool row_worse = (row_time > time_hi) | (row_shade > shade_hi) |
-                             (row_energy > energy_hi);
-      if (!row_worse) {
-        rejected = true;
-        break;
-      }
-      // Relaxed merge: only consulted when epsilon > 0, so the exact
-      // (epsilon = 0) search never evaluates it.
-      if (epsilon > 0.0 && epsilon_dominates(row.cost, cost, epsilon)) {
-        ++result.stats.labels_merged_epsilon;
-        rejected = true;
-        break;
-      }
-      const bool slower = time > row_time + kCriteriaEpsilon;
-      if (!slower && dominates(cost, row.cost)) dominates_a_row = true;
-    }
-    result.stats.dominance_checks += checked;
-    if (rejected) return;
-    // Remove bag labels the new cost dominates (step 2c of Algorithm 1;
-    // queue entries die lazily via the alive flag). Stable, so the bag
-    // keeps creation order.
-    if (dominates_a_row)
-      std::erase_if(bag, [&](const BagRow& row) {
-        if (!dominates(cost, row.cost)) return false;
-        arena[row.label].alive = false;
-        ++result.stats.labels_dominated;
-        return true;
-      });
+    Bag& bag = bags[v];
+    const detail::Candidate candidate = detail::Candidate::of(cost, epsilon);
+    bool admitted = false;
+    if (epsilon > 0.0)
+      admitted = admit<true>(bag, candidate, arena, result.stats);
+    else
+      admitted = admit<false>(bag, candidate, arena, result.stats);
+    if (!admitted) return;
     if (arena.size() >= options_.max_labels) {
       report_slot_lookups();
       MlcMetrics::get().label_cap_hits.add();
@@ -251,7 +312,7 @@ MlcResult MultiLabelCorrecting::search(roadnet::NodeId origin,
     const auto idx = static_cast<std::uint32_t>(arena.size());
     arena.push_back(Label{v, via, parent, true});
     ++result.stats.labels_created;
-    bag.push_back(BagRow{cost, idx});
+    bag.push(cost, idx);
     queue.push(QueueEntry{cost, idx});
   };
 
@@ -304,10 +365,11 @@ MlcResult MultiLabelCorrecting::search(roadnet::NodeId origin,
   report_slot_lookups();
 
   // Harvest the destination bag and rebuild paths parent-by-parent.
-  for (const BagRow& row : bags[destination]) {
+  const Bag& arrivals = bags[destination];
+  for (std::uint32_t row = 0; row < arrivals.size; ++row) {
     ParetoRoute route;
-    route.cost = row.cost;
-    for (std::int32_t i = static_cast<std::int32_t>(row.label);
+    route.cost = arrivals.cost(row);
+    for (std::int32_t i = static_cast<std::int32_t>(arrivals.label(row));
          arena[static_cast<std::uint32_t>(i)].parent != -1;
          i = arena[static_cast<std::uint32_t>(i)].parent)
       route.path.edges.push_back(arena[static_cast<std::uint32_t>(i)].via_edge);

@@ -3,10 +3,10 @@
 // through equivalent() || dominates(), a separate erase pass, one
 // SlotCostCache::at() per priced edge), kept as a test-only reference
 // beside the brute-force oracle in core_fixture.h. The production
-// kernel runs the same algorithm with flat bags and one fused pass, so
-// on every query it must agree with the reference bit for bit: route
-// costs and edge lists, every MlcStats count, and the slot-cache
-// hit/miss totals.
+// kernel runs the same algorithm over bags kept in blocks of four rows
+// (detail/bag_block.h), scanned a block at a time, so on every query it
+// must agree with the reference bit for bit: route costs and edge
+// lists, every MlcStats count, and the slot-cache hit/miss totals.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -40,11 +40,32 @@ bool reference_dominates(const Criteria& a, const Criteria& b) {
   return c1 < 0 || c2 < 0 || c3 < 0;
 }
 
+/// What the reference loop's own bags went through: the shapes at which
+/// the kernel's four-row blocks have a partial last block or compact
+/// across block boundaries.
+struct BagShapes {
+  /// Accepted inserts into a bag of more than 4 rows whose size is not
+  /// a multiple of 4: the whole bag, ragged last block included, was
+  /// scanned without a stop.
+  std::size_t ragged_inserts = 0;
+  /// Inserts that dropped dominated rows from a bag of more than 4 rows.
+  std::size_t multi_block_compactions = 0;
+  std::size_t largest_bag = 0;
+
+  void add(const BagShapes& query) {
+    ragged_inserts += query.ragged_inserts;
+    multi_block_compactions += query.multi_block_compactions;
+    largest_bag = std::max(largest_bag, query.largest_bag);
+  }
+};
+
 /// The reference search. Same contract as MultiLabelCorrecting::search
-/// for valid options; it records no mlc.* metrics and no timings.
+/// for valid options; it records no mlc.* metrics and no timings. When
+/// `shapes` is set, it adds to it what the search's bags went through.
 MlcResult reference_search(const WorldPtr& world, const MlcOptions& options,
                            roadnet::NodeId origin,
-                           roadnet::NodeId destination, TimeOfDay departure) {
+                           roadnet::NodeId destination, TimeOfDay departure,
+                           BagShapes* shapes = nullptr) {
   struct Label {
     Criteria cost;
     roadnet::NodeId node = roadnet::kInvalidNode;
@@ -104,7 +125,8 @@ MlcResult reference_search(const WorldPtr& world, const MlcOptions& options,
         return;
       }
     }
-    std::erase_if(bag, [&](std::uint32_t idx) {
+    const std::size_t scanned = bag.size();
+    const auto dropped = std::erase_if(bag, [&](std::uint32_t idx) {
       if (reference_dominates(cost, arena[idx].cost)) {
         arena[idx].alive = false;
         ++result.stats.labels_dominated;
@@ -118,6 +140,11 @@ MlcResult reference_search(const WorldPtr& world, const MlcOptions& options,
     arena.push_back(Label{cost, v, via, parent, true});
     ++result.stats.labels_created;
     bag.push_back(idx);
+    if (shapes != nullptr) {
+      if (scanned > 4 && scanned % 4 != 0) ++shapes->ragged_inserts;
+      if (scanned > 4 && dropped > 0) ++shapes->multi_block_compactions;
+      shapes->largest_bag = std::max(shapes->largest_bag, bag.size());
+    }
     queue.push(QueueEntry{cost, idx});
   };
 
@@ -271,6 +298,7 @@ struct Coverage {
   std::size_t labels_pruned_bound = 0;
   std::size_t labels_merged_epsilon = 0;
   std::size_t multi_route_sets = 0;  ///< queries with > 1 Pareto route
+  BagShapes bags;
 };
 
 /// `per_combo` queries for every option combination on `world`:
@@ -299,8 +327,11 @@ Coverage compare_on(const WorldPtr& world, std::uint64_t seed,
       const std::string what = describe(opt, o, d, dep);
       const MlcResult kernel =
           MultiLabelCorrecting(world, opt).search(o, d, dep);
-      const MlcResult reference = reference_search(world, opt, o, d, dep);
+      BagShapes shapes;
+      const MlcResult reference =
+          reference_search(world, opt, o, d, dep, &shapes);
       expect_same(kernel, reference, what);
+      coverage.bags.add(shapes);
       ++coverage.queries;
       coverage.labels_created += kernel.stats.labels_created;
       coverage.labels_dominated += kernel.stats.labels_dominated;
@@ -320,6 +351,12 @@ void expect_exercised(const Coverage& c) {
   EXPECT_GT(c.labels_pruned_bound, 0u);
   EXPECT_GT(c.labels_merged_epsilon, 0u);
   EXPECT_GT(c.multi_route_sets, c.queries / 4);
+  // The kernel keeps bags in blocks of four rows: a bag must grow past
+  // one block, be scanned through a partial last block and be compacted
+  // across block boundaries.
+  EXPECT_GT(c.bags.ragged_inserts, 0u);
+  EXPECT_GT(c.bags.multi_block_compactions, 0u);
+  EXPECT_GE(c.bags.largest_bag, 8u);
 }
 
 TEST(MlcReference, ReferenceMatchesBruteForce) {
