@@ -4,14 +4,17 @@
 // pricing mode (Exact re-evaluates the solar map per label expansion;
 // SlotQuantized reads the shared per-(edge, slot) cost cache). Reports
 // queries/sec, speedup vs the single-worker run, and the slot-cache hit
-// rate, and writes BENCH_batch.json for CI trend tracking. This is the
-// server-side pre-computation workload of the SCORE deployment model:
-// one process answering a fleet's route queries per solar-map refresh.
+// rate, and writes BENCH_batch.json (bench_report.h layout) whose peak
+// throughput CI gates. This is the server-side pre-computation workload
+// of the SCORE deployment model: one process answering a fleet's route
+// queries per solar-map refresh.
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
 #include <vector>
 
+#include "bench_report.h"
 #include "paper_world.h"
 
 #include "sunchase/core/batch_planner.h"
@@ -94,8 +97,8 @@ int main(int argc, char** argv) {
               queries.size(), replicas);
 
   // Profile the whole scaling sweep at the default 10 ms interval: the
-  // folded top-10 lands in BENCH_batch.json so a CI run shows where the
-  // batch workload's cycles went, not just how fast it was.
+  // folded top-10 printed below shows where the batch workload's cycles
+  // went, not just how fast it was.
   obs::Profiler::global().start();
 
   std::vector<Sample> samples;
@@ -167,47 +170,31 @@ int main(int argc, char** argv) {
               "-> %.2f%% (10 ms interval, slot, 4 workers)\n",
               qps_off, qps_on, overhead_pct);
 
-  const char* json_path = argc > 2 ? argv[2] : "BENCH_batch.json";
-  if (std::FILE* f = std::fopen(json_path, "w")) {
-    std::fprintf(f, "{\n  \"bench\": \"perf_batch_scaling\",\n");
-    std::fprintf(f, "  \"world_version\": %llu,\n",
-                 static_cast<unsigned long long>(snapshot->version()));
-    std::fprintf(f, "  \"slotcache_bytes\": %zu,\n",
-                 snapshot->slot_cache(bench::PaperWorld::kLv).bytes());
-    std::fprintf(f, "  \"queries\": %zu,\n  \"samples\": [\n",
-                 queries.size());
-    for (std::size_t i = 0; i < samples.size(); ++i)
-      std::fprintf(f,
-                   "    {\"pricing\": \"%s\", \"workers\": %zu, "
-                   "\"wall_seconds\": %.6f, "
-                   "\"queries_per_second\": %.3f, \"speedup\": %.3f, "
-                   "\"cache_hit_rate\": %.4f, \"cpu_seconds\": %.6f}%s\n",
-                   samples[i].pricing, samples[i].workers,
-                   samples[i].wall_seconds, samples[i].queries_per_second,
-                   samples[i].speedup, samples[i].cache_hit_rate,
-                   samples[i].cpu_seconds,
-                   i + 1 < samples.size() ? "," : "");
-    // Where the sweep's cycles went (span names are plain identifiers,
-    // safe to embed unescaped) and what sampling them cost.
-    std::fprintf(f, "  ],\n  \"profiler_overhead_pct\": %.2f,\n",
-                 overhead_pct);
-    std::fprintf(f, "  \"profile\": [\n");
-    for (std::size_t i = 0; i < top.size(); ++i)
-      std::fprintf(f, "    {\"stack\": \"%s\", \"count\": %llu}%s\n",
-                   top[i].stack.c_str(),
-                   static_cast<unsigned long long>(top[i].count),
-                   i + 1 < top.size() ? "," : "");
-    // Registry snapshot over both pricing sweeps: search-effort
-    // counters, latency histograms, and the slotcache.* family for CI
-    // trend tracking.
-    const std::string metrics =
-        sunchase::obs::Registry::global().snapshot().to_json(2);
-    std::fprintf(f, "  ],\n  \"metrics\":\n%s\n}\n", metrics.c_str());
-    std::fclose(f);
-    std::printf("\nwrote %s\n", json_path);
-  } else {
-    std::fprintf(stderr, "error: cannot write %s\n", json_path);
-    return 1;
+  bench::Report report("perf_batch_scaling");
+  report.add("queries", {}, static_cast<double>(queries.size()), "count");
+  double peak_qps = 0.0;
+  for (const Sample& s : samples) {
+    const bench::Labels labels = {{"pricing", s.pricing},
+                                  {"workers", std::to_string(s.workers)}};
+    report.add("wall_seconds", labels, s.wall_seconds, "s");
+    report.add("queries_per_second", labels, s.queries_per_second, "1/s");
+    report.add("speedup", labels, s.speedup, "x");
+    report.add("cache_hit_rate", labels, s.cache_hit_rate, "ratio");
+    report.add("cpu_seconds", labels, s.cpu_seconds, "s");
+    peak_qps = std::max(peak_qps, s.queries_per_second);
   }
-  return 0;
+  // 25% below the committed peak: wide enough for a shared CI runner
+  // against the dev container the baseline came from.
+  report.add("peak_queries_per_second", {}, peak_qps, "1/s",
+             bench::baseline_at_least(0.75));
+  report.add("profiler_overhead_pct", {}, overhead_pct, "%");
+  // One SlotCostCache per (world version, vehicle): the bytes trend
+  // catches an accidental per-worker duplication.
+  report.add("world_version", {}, static_cast<double>(snapshot->version()),
+             "version");
+  report.add("slotcache_bytes", {},
+             static_cast<double>(
+                 snapshot->slot_cache(bench::PaperWorld::kLv).bytes()),
+             "bytes");
+  return report.write(argc > 2 ? argv[2] : "BENCH_batch.json") ? 0 : 1;
 }

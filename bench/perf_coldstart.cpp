@@ -6,8 +6,8 @@
 // zero-copy views of the file. The bench times both, checks the two
 // worlds produce bit-identical Pareto frontiers (exact and
 // slot-quantized pricing; exits 1 on any mismatch), and writes
-// BENCH_coldstart.json for CI gating (tools/bench_compare.py requires
-// snapshot boot >= 5x faster than the text build).
+// BENCH_coldstart.json (bench_report.h layout), whose gate requires
+// snapshot boot >= 5x faster than the text build.
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -15,12 +15,12 @@
 #include <string>
 #include <vector>
 
+#include "bench_report.h"
 #include "paper_world.h"
 
 #include "sunchase/core/mlc.h"
 #include "sunchase/core/world.h"
 #include "sunchase/core/world_codec.h"
-#include "sunchase/obs/metrics.h"
 #include "sunchase/roadnet/citygen.h"
 #include "sunchase/shadow/scenegen.h"
 
@@ -179,29 +179,22 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  if (std::FILE* f = std::fopen(json_path, "w")) {
-    std::fprintf(f, "{\n  \"bench\": \"perf_coldstart\",\n");
-    std::fprintf(f, "  \"rows\": %d,\n  \"cols\": %d,\n  \"repeats\": %d,\n",
-                 kRows, kCols, repeats);
-    std::fprintf(f, "  \"build_seconds\": %.6f,\n", build_seconds);
-    std::fprintf(f, "  \"save_seconds\": %.6f,\n", save_seconds);
-    std::fprintf(f, "  \"load_seconds\": %.6f,\n", load_seconds);
-    std::fprintf(f, "  \"speedup\": %.2f,\n", speedup);
-    std::fprintf(f, "  \"snapshot_bytes\": %llu,\n",
-                 static_cast<unsigned long long>(info.file_bytes));
-    std::fprintf(f, "  \"warm_slots\": %zu,\n", warm_slots);
-    std::fprintf(f, "  \"rss_after_build_kb\": %zu,\n", rss_after_build_kb);
-    std::fprintf(f, "  \"rss_after_load_kb\": %zu,\n", rss_after_load_kb);
-    std::fprintf(f, "  \"fingerprint_ok\": true,\n");
-    const std::string metrics =
-        obs::Registry::global().snapshot().to_json(2);
-    std::fprintf(f, "  \"metrics\":\n%s\n}\n", metrics.c_str());
-    std::fclose(f);
-    std::printf("\nwrote %s\n", json_path);
-  } else {
-    std::fprintf(stderr, "error: cannot write %s\n", json_path);
-    return 1;
-  }
+  bench::Report report("perf_coldstart");
+  report.add("build_seconds", {}, build_seconds, "s");
+  report.add("save_seconds", {}, save_seconds, "s");
+  report.add("load_seconds", {}, load_seconds, "s");
+  // A same-machine ratio, so the floor needs no cross-machine slack.
+  report.add("speedup", {}, speedup, "x", bench::at_least(5.0));
+  report.add("snapshot_bytes", {}, static_cast<double>(info.file_bytes),
+             "bytes");
+  report.add("warm_slots", {}, static_cast<double>(warm_slots), "count");
+  report.add("rss_after_build_kb", {},
+             static_cast<double>(rss_after_build_kb), "kB");
+  report.add("rss_after_load_kb", {}, static_cast<double>(rss_after_load_kb),
+             "kB");
+  report.add("fingerprint_ok", {}, fingerprint_ok ? 1.0 : 0.0, "bool",
+             bench::at_least(1.0));
+  if (!report.write(json_path)) return 1;
   std::remove(snap_path.c_str());
   return 0;
 }

@@ -5,10 +5,11 @@
 // the Pareto search is the expensive step its route merging exists to
 // tame; this bench tracks what the budget pruning actually saves
 // (labels created, queue pops, dominance checks, latency) and what an
-// approximate merge costs in Pareto coverage. Writes BENCH_mlc.json for
-// CI trend tracking (tools/bench_compare.py gates on it). Exits 1 when
-// the pruned and unpruned frontiers differ, or when two repeats of one
-// configuration report different counts.
+// approximate merge costs in Pareto coverage. Writes BENCH_mlc.json
+// (bench_report.h layout), whose gates pin every row's counts to the
+// committed baseline. Exits 1 when the pruned and unpruned frontiers
+// differ, or when two repeats of one configuration report different
+// counts.
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
@@ -18,10 +19,10 @@
 #include <string>
 #include <vector>
 
+#include "bench_report.h"
 #include "paper_world.h"
 
 #include "sunchase/core/mlc.h"
-#include "sunchase/obs/metrics.h"
 
 using namespace sunchase;
 
@@ -237,9 +238,9 @@ int main(int argc, char** argv) {
   }
 
   // Epsilon sweep on the largest world, pruning on: what the relaxed
-  // merge saves and what Pareto coverage it gives up.
+  // merge saves and what Pareto coverage it gives up. The epsilon = 0
+  // row is the size sweep's last (pruned, largest) run.
   struct EpsSample {
-    double epsilon = 0.0;
     Sample run;
     double coverage_err = 0.0;
   };
@@ -250,10 +251,14 @@ int main(int argc, char** argv) {
               "coverage_err");
   for (const double epsilon : {0.0, 0.01, 0.05, 0.10}) {
     EpsSample es;
-    es.epsilon = epsilon;
-    es.run = run_config(largest, true, epsilon, repeats);
-    check_repeats(es.run);
-    es.coverage_err = coverage_error(exact, frontier(largest, true, epsilon));
+    if (epsilon == 0.0) {
+      es.run = samples.back();  // its frontier is the exact one (above)
+    } else {
+      es.run = run_config(largest, true, epsilon, repeats);
+      check_repeats(es.run);
+      es.coverage_err =
+          coverage_error(exact, frontier(largest, true, epsilon));
+    }
     sweep.push_back(es);
     std::printf("%8.2f %8.2f %8zu %10zu %7zu %10zu %12.1f %12.4f\n", epsilon,
                 es.run.search_seconds * 1e3, es.run.labels_created,
@@ -262,56 +267,59 @@ int main(int argc, char** argv) {
                 es.coverage_err);
   }
 
-  const char* json_path = argc > 2 ? argv[2] : "BENCH_mlc.json";
-  if (std::FILE* f = std::fopen(json_path, "w")) {
-    std::fprintf(f, "{\n  \"bench\": \"perf_mlc_scaling\",\n");
-    std::fprintf(f, "  \"time_budget\": 1.1,\n  \"repeats\": %d,\n",
-                 repeats);
-    std::fprintf(f, "  \"largest_n\": %d,\n  \"samples\": [\n", largest);
-    for (std::size_t i = 0; i < samples.size(); ++i) {
-      const Sample& s = samples[i];
-      std::fprintf(f,
-                   "    {\"n\": %d, \"mode\": \"%s\", \"epsilon\": %.4f, "
-                   "\"queries_per_second\": %.3f, "
-                   "\"search_seconds\": %.6f, "
-                   "\"lower_bound_seconds\": %.6f, "
-                   "\"labels_created\": %zu, \"labels_pruned_bound\": %zu, "
-                   "\"labels_merged_epsilon\": %zu, \"queue_pops\": %zu, "
-                   "\"pareto_size\": %zu, \"dominance_checks\": %zu, "
-                   "\"dominance_checks_per_label\": %.3f}%s\n",
-                   s.n, s.mode, s.epsilon, s.queries_per_second,
-                   s.search_seconds, s.lower_bound_seconds,
-                   s.labels_created, s.labels_pruned_bound,
-                   s.labels_merged_epsilon, s.queue_pops, s.pareto_size,
-                   s.dominance_checks, s.checks_per_label(),
-                   i + 1 < samples.size() ? "," : "");
-    }
-    std::fprintf(f, "  ],\n  \"epsilon_sweep\": [\n");
-    for (std::size_t i = 0; i < sweep.size(); ++i) {
-      const EpsSample& es = sweep[i];
-      std::fprintf(f,
-                   "    {\"epsilon\": %.4f, \"search_seconds\": %.6f, "
-                   "\"labels_created\": %zu, "
-                   "\"labels_merged_epsilon\": %zu, \"pareto_size\": %zu, "
-                   "\"dominance_checks\": %zu, "
-                   "\"dominance_checks_per_label\": %.3f, "
-                   "\"coverage_error\": %.6f}%s\n",
-                   es.epsilon, es.run.search_seconds,
-                   es.run.labels_created, es.run.labels_merged_epsilon,
-                   es.run.pareto_size, es.run.dominance_checks,
-                   es.run.checks_per_label(), es.coverage_err,
-                   i + 1 < sweep.size() ? "," : "");
-    }
-    // Registry snapshot: the mlc.* counter family (created / pruned /
-    // merged / lower-bound build seconds) for CI trend tracking.
-    const std::string metrics =
-        sunchase::obs::Registry::global().snapshot().to_json(2);
-    std::fprintf(f, "  ],\n  \"metrics\":\n%s\n}\n", metrics.c_str());
-    std::fclose(f);
-    std::printf("\nwrote %s\n", json_path);
-  } else {
-    std::fprintf(stderr, "error: cannot write %s\n", json_path);
-    return 1;
+  bench::Report report("perf_mlc_scaling");
+  auto add_row = [&report](const Sample& s) {
+    char epsilon[16];
+    std::snprintf(epsilon, sizeof epsilon, "%g", s.epsilon);
+    const bench::Labels labels = {
+        {"n", std::to_string(s.n)}, {"mode", s.mode}, {"epsilon", epsilon}};
+    auto count = [](std::size_t c) { return static_cast<double>(c); };
+    report.add("queries_per_second", labels, s.queries_per_second, "1/s");
+    report.add("search_seconds", labels, s.search_seconds, "s");
+    report.add("lower_bound_seconds", labels, s.lower_bound_seconds, "s");
+    // The search is deterministic, so its effort must repeat exactly on
+    // any machine: these four counts pin every row to the baseline.
+    report.add("labels_created", labels, count(s.labels_created), "count",
+               bench::baseline_exact());
+    report.add("queue_pops", labels, count(s.queue_pops), "count",
+               bench::baseline_exact());
+    report.add("pareto_size", labels, count(s.pareto_size), "count",
+               bench::baseline_exact());
+    report.add("dominance_checks", labels, count(s.dominance_checks),
+               "count", bench::baseline_exact());
+    report.add("labels_pruned_bound", labels, count(s.labels_pruned_bound),
+               "count");
+    report.add("labels_merged_epsilon", labels,
+               count(s.labels_merged_epsilon), "count");
+    report.add("dominance_checks_per_label", labels, s.checks_per_label(),
+               "ratio");
+    return labels;
+  };
+  double peak_qps = 0.0;
+  for (const Sample& s : samples) {
+    add_row(s);
+    peak_qps = std::max(peak_qps, s.queries_per_second);
   }
+  for (const EpsSample& es : sweep) {
+    if (es.run.epsilon == 0.0) continue;  // the size sweep's last row
+    report.add("coverage_error", add_row(es.run), es.coverage_err, "ratio");
+  }
+  report.add("peak_queries_per_second", {}, peak_qps, "1/s",
+             bench::baseline_at_least(0.75));
+  // At the largest world the pruned search must do strictly less work
+  // than the unpruned one, so the lower-bound pruning can never
+  // silently stop pruning.
+  const Sample& unpruned = samples[samples.size() - 2];
+  const Sample& pruned = samples.back();
+  const bench::Labels at_largest = {{"n", std::to_string(largest)}};
+  report.add("labels_saved_by_pruning", at_largest,
+             static_cast<double>(unpruned.labels_created) -
+                 static_cast<double>(pruned.labels_created),
+             "count", bench::at_least(1));
+  report.add("pops_saved_by_pruning", at_largest,
+             static_cast<double>(unpruned.queue_pops) -
+                 static_cast<double>(pruned.queue_pops),
+             "count", bench::at_least(1));
+  if (!report.write(argc > 2 ? argv[2] : "BENCH_mlc.json")) return 1;
   return deterministic ? 0 : 1;
 }

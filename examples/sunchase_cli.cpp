@@ -346,16 +346,23 @@ int run_snapshot(const CliOptions& opt) {
   return 0;
 }
 
+/// The search options every mode takes from the command line.
+core::MlcOptions mlc_options(const CliOptions& opt, core::PricingMode pricing) {
+  core::MlcOptions mlc;
+  mlc.max_time_factor = opt.time_budget;
+  mlc.epsilon = opt.epsilon;
+  mlc.prune_with_lower_bounds = opt.prune;
+  mlc.pricing = pricing;
+  return mlc;
+}
+
 int run_batch(const CliOptions& opt, core::PricingMode pricing,
               const core::WorldPtr& world, const roadnet::GridCity& city) {
   const auto queries = read_queries(opt.queries_path, city);
   const std::unique_ptr<obs::QueryLog> query_log = open_query_log(opt);
   core::BatchPlannerOptions batch_options;
   batch_options.workers = opt.workers;
-  batch_options.mlc.max_time_factor = opt.time_budget;
-  batch_options.mlc.epsilon = opt.epsilon;
-  batch_options.mlc.prune_with_lower_bounds = opt.prune;
-  batch_options.mlc.pricing = pricing;
+  batch_options.mlc = mlc_options(opt, pricing);
   // Run the full pipeline (search + clustering + selection) per query:
   // the candidate list is what a route server would hand the fleet.
   batch_options.run_selection = true;
@@ -420,10 +427,7 @@ int run_serve(const CliOptions& opt, core::PricingMode pricing,
   const std::unique_ptr<obs::QueryLog> query_log = open_query_log(opt);
 
   serve::RouteServiceOptions service_options;
-  service_options.mlc.max_time_factor = opt.time_budget;
-  service_options.mlc.epsilon = opt.epsilon;
-  service_options.mlc.prune_with_lower_bounds = opt.prune;
-  service_options.mlc.pricing = pricing;
+  service_options.mlc = mlc_options(opt, pricing);
   service_options.query_log = query_log.get();
   serve::RouteService service(store, service_options);
 
@@ -479,10 +483,7 @@ int run_explain(const CliOptions& opt, core::PricingMode pricing) {
   const TimeOfDay departure = TimeOfDay::parse(opt.time);
 
   core::PlannerOptions planner_options;
-  planner_options.mlc.max_time_factor = opt.time_budget;
-  planner_options.mlc.epsilon = opt.epsilon;
-  planner_options.mlc.prune_with_lower_bounds = opt.prune;
-  planner_options.mlc.pricing = pricing;
+  planner_options.mlc = mlc_options(opt, pricing);
   const core::SunChasePlanner planner(world, planner_options);
   const core::PlanResult plan = planner.plan(origin, destination, departure);
   const core::CandidateRoute& best = plan.recommended();
@@ -798,10 +799,7 @@ int main(int argc, char** argv) {
 
     const std::unique_ptr<obs::QueryLog> query_log = open_query_log(opt);
     core::PlannerOptions planner_options;
-    planner_options.mlc.max_time_factor = opt.time_budget;
-  planner_options.mlc.epsilon = opt.epsilon;
-  planner_options.mlc.prune_with_lower_bounds = opt.prune;
-    planner_options.mlc.pricing = pricing;
+    planner_options.mlc = mlc_options(opt, pricing);
     if (query_log) planner_options.query_log = query_log.get();
     const core::SunChasePlanner planner(world, planner_options);
 

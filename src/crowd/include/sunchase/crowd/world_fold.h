@@ -3,8 +3,9 @@
 // operational. A CrowdSolarMap's covered cells correct the base
 // snapshot's shading profile; everything else (graph, traffic, panel
 // power, vehicles) is carried over by shared_ptr, so publishing the
-// corrected world costs one profile resample plus the solar-map
-// rebuild — and in-flight queries keep the snapshot they pinned.
+// corrected world costs one copy of the base profile's table plus the
+// solar-map rebuild — and in-flight queries keep the snapshot they
+// pinned.
 #pragma once
 
 #include "sunchase/core/world.h"

@@ -35,18 +35,31 @@ obs::Counter& counter(const char* name) {
   return obs::Registry::global().counter(name);
 }
 
-/// Required node-id member: a non-negative integral JSON number.
+/// The JSON number `value` as a T in [lo, hi]; InvalidArgument naming
+/// `field` unless it is integral and in range. Casting a double outside
+/// T's range is undefined behaviour, so nothing else may reach the cast.
+template <typename T>
+T integral(const JsonValue& value, const char* field,
+           T lo = std::numeric_limits<T>::min(),
+           T hi = std::numeric_limits<T>::max()) {
+  const double raw = value.as_number();
+  // hi + 1 is the first value out of range; for 64-bit T the conversion
+  // rounds hi up to 2^64, which is that same bound.
+  if (!(raw >= static_cast<double>(lo)) ||
+      !(raw < static_cast<double>(hi) + 1.0) || raw != std::floor(raw))
+    throw InvalidArgument(std::string("field \"") + field +
+                          "\" must be an integer in [" + std::to_string(lo) +
+                          ", " + std::to_string(hi) + "]");
+  return static_cast<T>(raw);
+}
+
+/// Required node-id member.
 roadnet::NodeId node_from(const JsonValue& body, const char* key) {
   const JsonValue* member = body.find(key);
   if (member == nullptr)
     throw InvalidArgument(std::string("missing required field \"") + key +
                           '"');
-  const double raw = member->as_number();
-  if (!(raw >= 0.0) || raw != std::floor(raw) ||
-      raw >= static_cast<double>(roadnet::kInvalidNode))
-    throw InvalidArgument(std::string("field \"") + key +
-                          "\" must be a non-negative node id");
-  return static_cast<roadnet::NodeId>(raw);
+  return integral<roadnet::NodeId>(*member, key, 0, roadnet::kInvalidNode - 1);
 }
 
 TimeOfDay departure_from(const JsonValue& body) {
@@ -107,26 +120,30 @@ std::optional<std::string> query_param(std::string_view target,
   return std::nullopt;
 }
 
-/// Parses a non-negative integer query parameter; `fallback` when the
-/// parameter is absent, throws InvalidArgument on garbage.
-std::uint64_t uint_param(std::string_view target, std::string_view name,
-                         std::uint64_t fallback) {
-  const std::optional<std::string> raw = query_param(target, name);
-  if (!raw.has_value()) return fallback;
-  if (raw->empty())
-    throw InvalidArgument(std::string(name) + " must be a non-negative "
+/// A non-empty run of decimal digits as a uint64; InvalidArgument
+/// naming `what` on anything else, or when the value overflows.
+std::uint64_t parse_decimal(std::string_view text, std::string_view what) {
+  if (text.empty())
+    throw InvalidArgument(std::string(what) + " must be a non-negative "
                                               "integer");
   std::uint64_t value = 0;
-  for (const char c : *raw) {
+  for (const char c : text) {
     if (c < '0' || c > '9')
-      throw InvalidArgument(std::string(name) + " must be a non-negative "
+      throw InvalidArgument(std::string(what) + " must be a non-negative "
                                                 "integer");
     const std::uint64_t digit = static_cast<std::uint64_t>(c - '0');
     if (value > (std::numeric_limits<std::uint64_t>::max() - digit) / 10)
-      throw InvalidArgument(std::string(name) + " out of range");
+      throw InvalidArgument(std::string(what) + " out of range");
     value = value * 10 + digit;
   }
   return value;
+}
+
+/// A non-negative integer query parameter; `fallback` when absent.
+std::uint64_t uint_param(std::string_view target, std::string_view name,
+                         std::uint64_t fallback) {
+  const std::optional<std::string> raw = query_param(target, name);
+  return raw.has_value() ? parse_decimal(*raw, name) : fallback;
 }
 
 }  // namespace
@@ -263,16 +280,8 @@ HttpResponse RouteService::dispatch(const HttpRequest& request) {
   if (path.size() > kExplain.size() &&
       std::string_view(path).substr(0, kExplain.size()) == kExplain) {
     if (!is_get) return error_response(405, "use GET /explain/{query_id}");
-    std::uint64_t id = 0;
-    for (const char c : std::string_view(path).substr(kExplain.size())) {
-      if (c < '0' || c > '9')
-        return error_response(400, "query id must be decimal digits");
-      const std::uint64_t digit = static_cast<std::uint64_t>(c - '0');
-      if (id > (std::numeric_limits<std::uint64_t>::max() - digit) / 10)
-        return error_response(400, "query id out of range");
-      id = id * 10 + digit;
-    }
-    return handle_explain(id);
+    return handle_explain(parse_decimal(
+        std::string_view(path).substr(kExplain.size()), "query id"));
   }
 
   return error_response(404, "unknown path: " + path);
@@ -313,12 +322,8 @@ core::MlcOptions RouteService::mlc_options_from(const JsonValue& body) {
   }
   if (const JsonValue* prune = body.find("prune_with_lower_bounds"))
     mlc.prune_with_lower_bounds = prune->as_bool();
-  if (const JsonValue* vehicle = body.find("vehicle")) {
-    const double raw = vehicle->as_number();
-    if (!(raw >= 0.0) || raw != std::floor(raw))
-      throw InvalidArgument("vehicle must be a non-negative index");
-    mlc.vehicle = static_cast<std::size_t>(raw);
-  }
+  if (const JsonValue* vehicle = body.find("vehicle"))
+    mlc.vehicle = integral<std::size_t>(*vehicle, "vehicle");
   if (const JsonValue* dependent = body.find("time_dependent"))
     mlc.time_dependent = dependent->as_bool();
   return mlc;
@@ -550,12 +555,8 @@ HttpResponse RouteService::handle_publish(const HttpRequest& request) {
       throw InvalidArgument("missing required field \"observations\"");
 
     crowd::CrowdSolarMap::Options copts;
-    if (const JsonValue* min_obs = body.find("min_observations")) {
-      const double raw = min_obs->as_number();
-      if (!(raw >= 1.0) || raw != std::floor(raw))
-        throw InvalidArgument("min_observations must be a positive integer");
-      copts.min_observations = static_cast<int>(raw);
-    }
+    if (const JsonValue* min_obs = body.find("min_observations"))
+      copts.min_observations = integral<int>(*min_obs, "min_observations", 1);
 
     const core::WorldPtr base = store_.current();
     // The prior is never consulted: fold_observations falls back to the
@@ -571,11 +572,11 @@ HttpResponse RouteService::handle_publish(const HttpRequest& request) {
       if (edge == nullptr || slot == nullptr || fraction == nullptr)
         throw InvalidArgument(
             "each observation needs edge, slot, shaded_fraction");
-      observation.edge = static_cast<roadnet::EdgeId>(edge->as_number());
-      observation.slot = static_cast<int>(slot->as_number());
+      observation.edge = integral<roadnet::EdgeId>(*edge, "edge");
+      observation.slot = integral<int>(*slot, "slot");
       observation.shaded_fraction = fraction->as_number();
-      observation.vehicle_id =
-          static_cast<std::uint64_t>(value.number_or("vehicle_id", 0.0));
+      if (const JsonValue* id = value.find("vehicle_id"))
+        observation.vehicle_id = integral<std::uint64_t>(*id, "vehicle_id");
       crowd.report(observation);
     }
     observation_count = crowd.observation_count();

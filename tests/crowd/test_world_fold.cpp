@@ -6,7 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <memory>
+#include <span>
 #include <utility>
 
 #include "sunchase/core/planner.h"
@@ -74,6 +76,61 @@ TEST(WorldFold, CoveredCellsTakeCrowdMeanUncoveredKeepBaseProfile) {
   // The corrected profile samples the same slot window as the base.
   EXPECT_EQ(corrected.first_slot(), base->shading().first_slot());
   EXPECT_EQ(corrected.last_slot(), base->shading().last_slot());
+}
+
+TEST(WorldFold, FoldEqualsPerCellResampleBitForBit) {
+  // A base profile that differs per edge and slot, and a crowd map with
+  // a narrower window and a two-report threshold: the fold must give
+  // every cell exactly what sampling "covered ? crowd mean : base" at
+  // each slot start gives.
+  const roadnet::GridCity city{roadnet::GridCityOptions{}};
+  core::WorldInit init = base_init(city);
+  init.shading = std::make_shared<const shadow::ShadingProfile>(
+      shadow::ShadingProfile::compute(
+          *init.graph,
+          [](roadnet::EdgeId edge, TimeOfDay when) {
+            const auto slot = static_cast<unsigned>(when.slot_index());
+            return static_cast<double>((edge * 7 + slot * 13) % 101) / 100.0;
+          },
+          TimeOfDay::hms(8, 0), TimeOfDay::hms(18, 30)));
+  const core::WorldPtr base = core::World::create(std::move(init));
+  const std::size_t edges = base->graph().edge_count();
+
+  CrowdSolarMap::Options opt;
+  opt.first_slot = TimeOfDay::hms(10, 0).slot_index();
+  opt.last_slot = TimeOfDay::hms(15, 0).slot_index();
+  opt.min_observations = 2;
+  CrowdSolarMap crowd(edges, [](roadnet::EdgeId, TimeOfDay) { return 0.99; },
+                      opt);
+  for (roadnet::EdgeId edge = 0; edge < edges; edge += 3)
+    for (int slot = opt.first_slot; slot <= opt.last_slot; slot += 2) {
+      const unsigned reports = (edge + static_cast<unsigned>(slot)) % 4;
+      for (unsigned r = 1; r <= reports; ++r)
+        crowd.report(Observation{edge, slot, 0.1 * r + 0.01 * (slot % 7), r});
+    }
+
+  const shadow::ShadingProfile& prior = base->shading();
+  const shadow::ShadingProfile reference = shadow::ShadingProfile::compute(
+      base->graph(),
+      [&](roadnet::EdgeId edge, TimeOfDay when) {
+        return crowd.covered(edge, when.slot_index())
+                   ? crowd.shaded_fraction(edge, when)
+                   : prior.shaded_fraction(edge, when);
+      },
+      TimeOfDay::slot_start(prior.first_slot()),
+      TimeOfDay::slot_start(prior.last_slot()));
+  const core::WorldInit folded = fold_observations(*base, crowd);
+  ASSERT_GT(crowd.coverage(), 0.0);
+  EXPECT_EQ(folded.shading->edge_count(), reference.edge_count());
+  EXPECT_EQ(folded.shading->first_slot(), reference.first_slot());
+  EXPECT_EQ(folded.shading->last_slot(), reference.last_slot());
+  const std::span<const float> got = folded.shading->fractions();
+  const std::span<const float> want = reference.fractions();
+  ASSERT_EQ(got.size(), want.size());
+  std::size_t differing = 0;
+  for (std::size_t i = 0; i < got.size(); ++i)
+    if (std::memcmp(&got[i], &want[i], sizeof(float)) != 0) ++differing;
+  EXPECT_EQ(differing, 0u);
 }
 
 TEST(WorldFold, PublishCrowdWorldBumpsVersionAndKeepsOldPins) {

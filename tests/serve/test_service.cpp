@@ -359,9 +359,73 @@ TEST_F(ServeServiceTest, PublishRejectsMalformedObservations) {
   EXPECT_EQ(store_.current()->version(), 1u);
 }
 
+TEST_F(ServeServiceTest, NonIntegralOrOutOfRangeIntegerFieldsAre400s) {
+  // Each value is fractional or outside its field's integer type. Casting
+  // them used to plan with vehicle 0 for 1e30 and publish observations
+  // on edge 2, 0 or 0 for 2.5, 4294967296 or 1e30.
+  const std::string plan =
+      "{\"origin\":0,\"destination\":3,\"departure\":\"08:00\"";
+  auto publish = [](const std::string& fields) {
+    return "{" + fields +
+           "\"observations\":[{\"edge\":2,\"slot\":40,"
+           "\"shaded_fraction\":0.5,\"vehicle_id\":7}]}";
+  };
+  auto observation = [](const std::string& edge, const std::string& slot,
+                        const std::string& vehicle_id) {
+    return "{\"observations\":[{\"edge\":" + edge + ",\"slot\":" + slot +
+           ",\"shaded_fraction\":0.5,\"vehicle_id\":" + vehicle_id + "}]}";
+  };
+  struct Case {
+    const char* target;
+    std::string body;
+    const char* field;
+  };
+  const Case cases[] = {
+      {"/plan", plan + ",\"vehicle\":1e30}", "vehicle"},
+      {"/plan", plan + ",\"vehicle\":-1}", "vehicle"},
+      {"/plan", plan + ",\"vehicle\":0.5}", "vehicle"},
+      {"/plan",
+       "{\"origin\":4294967296,\"destination\":3,\"departure\":\"08:00\"}",
+       "origin"},
+      {"/plan", "{\"origin\":0,\"destination\":1e30,\"departure\":\"08:00\"}",
+       "destination"},
+      {"/world/publish", observation("2.5", "40", "7"), "edge"},
+      {"/world/publish", observation("4294967296", "40", "7"), "edge"},
+      {"/world/publish", observation("1e30", "40", "7"), "edge"},
+      {"/world/publish", observation("2", "40.9", "7"), "slot"},
+      {"/world/publish", observation("2", "1e30", "7"), "slot"},
+      {"/world/publish", observation("2", "40", "1e30"), "vehicle_id"},
+      {"/world/publish", observation("2", "40", "-1"), "vehicle_id"},
+      {"/world/publish", publish("\"min_observations\":1e30,"),
+       "min_observations"},
+      {"/world/publish", publish("\"min_observations\":2147483648,"),
+       "min_observations"},
+  };
+  for (const Case& c : cases) {
+    const HttpResponse response =
+        service_.handle(make_request("POST", c.target, c.body));
+    EXPECT_EQ(response.status, 400) << c.body;
+    const JsonValue parsed = JsonValue::parse(response.body);
+    const JsonValue* error = parsed.find("error");
+    ASSERT_NE(error, nullptr) << c.body;
+    EXPECT_NE(error->as_string().find(c.field), std::string::npos)
+        << error->as_string();
+  }
+  EXPECT_EQ(store_.current()->version(), 1u);
+  EXPECT_EQ(service_.ledger().recorded(), 0u);
+
+  // The same bodies with in-range integers are accepted.
+  call(make_request("POST", "/plan", plan + ",\"vehicle\":1}"), 200);
+  call(make_request("POST", "/world/publish",
+                    publish("\"min_observations\":1,")),
+       200);
+  EXPECT_EQ(store_.current()->version(), 2u);
+}
+
 TEST_F(ServeServiceTest, MetricsEndpointEmitsPrometheusText) {
   call(make_request("POST", "/plan", plan_body(0, 31)), 200);
-  const HttpResponse response = service_.handle(make_request("GET", "/metrics"));
+  const HttpResponse response =
+      service_.handle(make_request("GET", "/metrics"));
   ASSERT_EQ(response.status, 200);
   EXPECT_NE(response.body.find("serve_plans"), std::string::npos);
   ASSERT_FALSE(response.headers.empty());

@@ -1,7 +1,7 @@
 // loadgen — HTTP load generator for the route server (sunchase_cli
 // serve): replays a fleet query file as POST /plan requests at stepped
 // concurrency and writes a BENCH_serve.json latency/throughput report
-// for CI trend gating (tools/bench_compare.py).
+// (bench/bench_report.h layout) for CI gating (tools/bench_compare.py).
 //
 //   loadgen --port N [--host ADDR] [--queries FILE]
 //       [--rows N --cols N --seed S]    lattice of the server's city
@@ -57,6 +57,7 @@
 #include <thread>
 #include <vector>
 
+#include "bench_report.h"
 #include "sunchase/common/error.h"
 #include "sunchase/common/time_of_day.h"
 #include "sunchase/roadnet/citygen.h"
@@ -352,7 +353,9 @@ int main(int argc, char** argv) {
                 total_request_id_missing = 0, total_batch = 0,
                 total_batch_ok = 0;
     std::set<std::uint64_t> all_versions;
-    std::string samples = "[";
+    bench::Report report("loadgen_serve");
+    double peak_qps = 0.0;
+    double best_p99_ms = 0.0;
 
     // Baseline scrape: per-step CPU is the delta between consecutive
     // scrapes of the cumulative serve.cpu_seconds gauges.
@@ -439,23 +442,27 @@ int main(int argc, char** argv) {
                   step.transport_errors.load(), step.batch_ok.load(),
                   step.batch_requests.load());
 
-      char sample[768];
-      std::snprintf(
-          sample, sizeof sample,
-          "%s\n    {\"concurrency\": %zu, \"requests\": %zu, \"ok\": %zu, "
-          "\"http_4xx\": %zu, \"http_5xx\": %zu, \"transport_errors\": %zu, "
-          "\"wall_seconds\": %.6f, \"queries_per_second\": %.3f, "
-          "\"p50_ms\": %.3f, \"p99_ms\": %.3f, \"max_ms\": %.3f, "
-          "\"request_id_coverage\": %.4f, \"window_p99_ms\": %.3f, "
-          "\"cpu_seconds\": %.6f, \"batch_requests\": %zu, "
-          "\"batch_ok\": %zu}",
-          s == 0 ? "" : ",", concurrency, step.requests, step.ok.load(),
-          step.http_4xx.load(), step.http_5xx.load(),
-          step.transport_errors.load(), step.wall_seconds, qps, p50, p99,
-          max_ms, request_id_coverage, probe.window_p99_ms,
-          step_cpu_seconds, step.batch_requests.load(),
-          step.batch_ok.load());
-      samples += sample;
+      const bench::Labels at = {{"concurrency", std::to_string(concurrency)}};
+      auto count = [](std::size_t c) { return static_cast<double>(c); };
+      report.add("requests", at, count(step.requests), "count");
+      report.add("ok", at, count(step.ok.load()), "count");
+      report.add("http_4xx", at, count(step.http_4xx.load()), "count");
+      report.add("http_5xx", at, count(step.http_5xx.load()), "count");
+      report.add("transport_errors", at, count(step.transport_errors.load()),
+                 "count");
+      report.add("wall_seconds", at, step.wall_seconds, "s");
+      report.add("queries_per_second", at, qps, "1/s");
+      report.add("p50_ms", at, p50, "ms");
+      report.add("p99_ms", at, p99, "ms");
+      report.add("max_ms", at, max_ms, "ms");
+      report.add("request_id_coverage", at, request_id_coverage, "ratio");
+      report.add("window_p99_ms", at, probe.window_p99_ms, "ms");
+      report.add("cpu_seconds", at, step_cpu_seconds, "s");
+      report.add("batch_requests", at, count(step.batch_requests.load()),
+                 "count");
+      report.add("batch_ok", at, count(step.batch_ok.load()), "count");
+      peak_qps = std::max(peak_qps, qps);
+      best_p99_ms = s == 0 ? p99 : std::min(best_p99_ms, p99);
 
       total_requests += step.requests;
       total_ok += step.ok.load();
@@ -468,7 +475,6 @@ int main(int argc, char** argv) {
       total_batch_ok += step.batch_ok.load();
       all_versions.insert(step.versions.begin(), step.versions.end());
     }
-    samples += "\n  ]";
 
     // Pull the server's sampling-profiler folds (collapsed-stack text,
     // one "outer;inner COUNT" line each). Empty when the server was not
@@ -512,28 +518,36 @@ int main(int argc, char** argv) {
     const std::uint64_t version_max =
         all_versions.empty() ? 0 : *all_versions.rbegin();
 
-    std::ofstream out(opt.out_path);
-    if (!out) throw IoError("loadgen: cannot write " + opt.out_path);
-    out << "{\n  \"bench\": \"loadgen_serve\",\n"
-        << "  \"queries\": " << bodies.size() << ",\n"
-        << "  \"requests_per_step\": " << opt.requests_per_step << ",\n"
-        << "  \"samples\": " << samples << ",\n"
-        << "  \"world_version\": {\"min\": " << version_min
-        << ", \"max\": " << version_max << "},\n"
-        << "  \"profile\": {\"folds\": " << profile_folds
-        << ", \"has_batch_stack\": "
-        << (profile_has_batch_stack ? "true" : "false") << "},\n"
-        << "  \"totals\": {\"requests\": " << total_requests
-        << ", \"ok\": " << total_ok << ", \"http_4xx\": " << total_4xx
-        << ", \"http_5xx\": " << total_5xx
-        << ", \"transport_errors\": " << total_transport
-        << ", \"conservation_failures\": " << total_conservation
-        << ", \"request_id_missing\": " << total_request_id_missing
-        << ", \"batch_requests\": " << total_batch
-        << ", \"batch_ok\": " << total_batch_ok << "}\n"
-        << "}\n";
-    std::printf("wrote %s (%zu/%zu ok, world versions %llu..%llu)\n",
-                opt.out_path.c_str(), total_ok, total_requests,
+    // Wide bounds (35% below the peak, 3x the best p99): the baseline
+    // came from a dev container, CI runs on shared runners.
+    report.add("peak_queries_per_second", {}, peak_qps, "1/s",
+               bench::baseline_at_least(0.65));
+    report.add("best_p99_ms", {}, best_p99_ms, "ms",
+               bench::baseline_at_most(3.0));
+    const auto total = [&report](const char* name, std::size_t value) {
+      report.add(name, {}, static_cast<double>(value), "count");
+    };
+    total("queries", bodies.size());
+    total("requests", total_requests);
+    total("ok", total_ok);
+    total("http_4xx", total_4xx);
+    total("http_5xx", total_5xx);
+    total("transport_errors", total_transport);
+    total("conservation_failures", total_conservation);
+    total("request_id_missing", total_request_id_missing);
+    total("batch_requests", total_batch);
+    total("batch_ok", total_batch_ok);
+    report.add("world_version_min", {}, static_cast<double>(version_min),
+               "version");
+    report.add("world_version_max", {}, static_cast<double>(version_max),
+               "version");
+    total("profile_folds", profile_folds);
+    report.add("profile_has_batch_stack", {},
+               profile_has_batch_stack ? 1.0 : 0.0, "bool");
+    if (!report.write(opt.out_path))
+      throw IoError("loadgen: cannot write " + opt.out_path);
+    std::printf("%zu/%zu ok, world versions %llu..%llu\n", total_ok,
+                total_requests,
                 static_cast<unsigned long long>(version_min),
                 static_cast<unsigned long long>(version_max));
 
