@@ -1,13 +1,21 @@
-// Bridges the solar input map and an EV consumption model into the
-// criteria vector the router searches over.
+// Prices a road segment: the solar input map and an EV consumption
+// model, combined into the criteria vector the router searches over.
 #pragma once
 
 #include "sunchase/core/criteria.h"
-#include "sunchase/core/world_fwd.h"
 #include "sunchase/ev/consumption.h"
 #include "sunchase/solar/input_map.h"
 
 namespace sunchase::core {
+
+/// What entering one edge at one clock costs: the search's criteria
+/// vector plus the full solar accounting, both priced at that clock.
+struct EdgePrice {
+  Criteria criteria;
+  solar::EdgeSolar solar;
+
+  friend bool operator==(const EdgePrice&, const EdgePrice&) = default;
+};
 
 /// When an edge's criteria vector is priced relative to the label's
 /// entry clock. The paper holds the panel power C and the shading
@@ -40,21 +48,16 @@ enum class PricingMode {
   return mode == PricingMode::SlotQuantized ? "slot" : "exact";
 }
 
-/// Criteria accrued by entering `edge` at `when` with the world's
-/// `vehicle`. Throws InvalidArgument for a null world or an unknown
-/// vehicle index.
-[[nodiscard]] Criteria edge_criteria(const WorldPtr& world,
-                                     roadnet::EdgeId edge, TimeOfDay when,
-                                     std::size_t vehicle = 0);
-
 namespace detail {
 
-/// Implementation primitive over the snapshot's components — internal;
-/// public callers go through the WorldPtr overload above so no
-/// long-lived layer ever borrows raw world data.
-[[nodiscard]] Criteria edge_criteria(const solar::SolarInputMap& map,
-                                     const ev::ConsumptionModel& vehicle,
-                                     roadnet::EdgeId edge, TimeOfDay when);
+/// Entering `edge` at `when` with `vehicle`: travel and shaded time
+/// (Eq. 3), solar input (Eq. 2) and consumption (Eq. 6), all at `when`.
+/// The one pricing rule: the label search, the slot cost cache, the
+/// route walk (metrics.h) and the replanner all call it. Internal, over
+/// snapshot components; public callers go through WorldPtr APIs.
+[[nodiscard]] EdgePrice price_edge(const solar::SolarInputMap& map,
+                                   const ev::ConsumptionModel& vehicle,
+                                   roadnet::EdgeId edge, TimeOfDay when);
 
 }  // namespace detail
 

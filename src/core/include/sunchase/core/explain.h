@@ -2,11 +2,9 @@
 // to the paper's per-edge quantities — segment length (Eq. 7 Haversine
 // edges), shade ratio at the active 15-minute solar-map slot, solar
 // input (Eq. 2), EV consumption (Eq. 6) — with running cumulative
-// totals. The ledger replays exactly the clock convention of the
-// multi-label correcting search (edge priced at departure advanced by
-// the cumulative travel time), so its sums reproduce the route's
-// criteria vector: the conservation invariant that proves the energy
-// accounting has not drifted.
+// totals. The ledger is the search's own route walk and edge price
+// (detail::walk_route, detail::price_edge), so its sums are the route's
+// criteria vector: conservation holds by construction.
 #pragma once
 
 #include <string>
@@ -66,15 +64,12 @@ class RouteExplainer {
  public:
   explicit RouteExplainer(WorldPtr world, std::size_t vehicle = 0);
 
-  /// Walks `path` from `departure` and prices every edge exactly as the
-  /// search did: entry time is the departure advanced by the cumulative
-  /// travel time when `time_dependent` (MlcOptions default), otherwise
-  /// the departure instant (static pricing); the pricing clock is then
-  /// quantized per `pricing` — pass the mode the route was planned with
-  /// so the conservation invariant holds bit-exactly. The ledger's
-  /// `entry` column always records the real entry clock; only the price
-  /// is quantized. Throws GraphError for unknown edges; an empty path
-  /// yields an empty ledger.
+  /// Walks `path` from `departure` with detail::walk_route, pricing
+  /// every edge as the search did: pass the `time_dependent` and
+  /// `pricing` the route was planned with and the ledger conserves its
+  /// cost bit for bit. The ledger's `entry` column records the real
+  /// entry clock; only the price is quantized. Throws GraphError for
+  /// unknown edges; an empty path yields an empty ledger.
   [[nodiscard]] RouteLedger explain(
       const roadnet::Path& path, TimeOfDay departure,
       bool time_dependent = true,

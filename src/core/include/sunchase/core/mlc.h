@@ -87,6 +87,21 @@ struct MlcStats {
   /// Wall clock of the reverse-Dijkstra lower-bound build (inside
   /// search_seconds; 0 when pruning is off or no budget is set).
   double lower_bound_seconds = 0.0;
+
+  /// Adds every field of `o`: a batch's totals are its queries' sums.
+  MlcStats& operator+=(const MlcStats& o) noexcept {
+    labels_created += o.labels_created;
+    labels_dominated += o.labels_dominated;
+    queue_pops += o.queue_pops;
+    pareto_size += o.pareto_size;
+    labels_pruned_bound += o.labels_pruned_bound;
+    labels_merged_epsilon += o.labels_merged_epsilon;
+    dominance_checks += o.dominance_checks;
+    shortest_travel_time += o.shortest_travel_time;
+    search_seconds += o.search_seconds;
+    lower_bound_seconds += o.lower_bound_seconds;
+    return *this;
+  }
 };
 
 struct MlcResult {

@@ -1,5 +1,5 @@
 // Slot-quantized edge-cost cache: a lazily-materialized, thread-safe
-// table of {Criteria, EdgeSolar} keyed by (EdgeId, 15-minute slot) for
+// table of EdgePrice rows keyed by (EdgeId, 15-minute slot) for
 // one fixed (SolarInputMap, ConsumptionModel) pair. The paper holds
 // panel power C and the shading profile constant within each slot
 // (Sec. IV, Eq. 2-3), so every label entering an edge during a slot can
@@ -36,23 +36,18 @@ namespace sunchase::core {
 /// "slotcache.fill_seconds" histogram of per-column fill times.
 class SlotCostCache {
  public:
-  /// One (edge, slot) row: the search's criteria vector plus the full
-  /// solar accounting, both priced at the slot start.
-  struct Entry {
-    Criteria criteria;
-    solar::EdgeSolar solar;
-  };
+  /// One (edge, slot) row: detail::price_edge at the slot start.
+  using Entry = EdgePrice;
 
   SlotCostCache(const SlotCostCache&) = delete;
   SlotCostCache& operator=(const SlotCostCache&) = delete;
 
-  /// The cost of entering `edge` during slot `slot`, priced at
-  /// TimeOfDay::slot_start(slot) — bit-identical to edge_criteria at
-  /// that clock. The first caller of a slot fills its whole column
-  /// (concurrent callers of the same slot block on the fill, counted as
-  /// misses); every later lookup is a hit. Throws InvalidArgument for a
-  /// slot outside [0, kSlotsPerDay); edges are bounds-checked against
-  /// the map's graph.
+  /// The cost of entering `edge` during slot `slot`: price_edge at
+  /// TimeOfDay::slot_start(slot). The first caller of a slot fills its
+  /// whole column (concurrent callers of the same slot block on the
+  /// fill, counted as misses); every later lookup is a hit. Throws
+  /// InvalidArgument for a slot outside [0, kSlotsPerDay); edges are
+  /// bounds-checked against the map's graph.
   [[nodiscard]] const Entry& at(roadnet::EdgeId edge, int slot) const;
 
   /// The whole column for `slot`, indexed by edge id, filling it on

@@ -25,18 +25,6 @@ double seconds_between(Clock::time_point from, Clock::time_point to) {
   return std::chrono::duration<double>(to - from).count();
 }
 
-void accumulate(MlcStats& into, const MlcStats& stats) {
-  into.labels_created += stats.labels_created;
-  into.labels_dominated += stats.labels_dominated;
-  into.queue_pops += stats.queue_pops;
-  into.pareto_size += stats.pareto_size;
-  into.labels_pruned_bound += stats.labels_pruned_bound;
-  into.labels_merged_epsilon += stats.labels_merged_epsilon;
-  into.shortest_travel_time += stats.shortest_travel_time;
-  into.search_seconds += stats.search_seconds;
-  into.lower_bound_seconds += stats.lower_bound_seconds;
-}
-
 /// Registry handles for the batch-level metrics, resolved once.
 struct BatchMetrics {
   obs::Histogram& queue_wait;  ///< submit-to-worker-start, per task
@@ -161,7 +149,7 @@ BatchResult BatchPlanner::plan_all(
   for (const BatchQueryResult& qr : result.queries) {
     if (qr.ok()) {
       ++result.stats.succeeded;
-      accumulate(result.stats.totals, qr.result->stats);
+      result.stats.totals += qr.result->stats;
     } else {
       ++result.stats.failed;
     }

@@ -109,58 +109,35 @@ RouteLedger RouteExplainer::explain(const roadnet::Path& path,
   ledger.departure = departure;
   ledger.steps.reserve(path.size());
   const solar::SolarInputMap& map = world_->solar_map();
-  const ev::ConsumptionModel& vehicle = world_->vehicle(vehicle_);
   const auto& graph = map.graph();
-
-  Criteria cumulative;
-  WattHours cumulative_in{0.0};
-  for (const roadnet::EdgeId e : path.edges) {
-    // The entry clock mirrors Algorithm 1: the label entering this edge
-    // carries the cumulative travel time, and the search prices the
-    // edge at departure advanced by it — not an iteratively advanced
-    // clock — so the ledger reproduces the criteria vector bit for bit.
-    const TimeOfDay entry =
-        time_dependent ? departure.advanced_by(cumulative.travel_time)
-                       : departure;
-    // Replay the pricing mode too: a SlotQuantized route was costed at
-    // the slot start, so the ledger must price there as well or the
-    // conservation sums drift by the within-slot difference.
-    const TimeOfDay priced_at = pricing_time(entry, pricing);
-    const solar::EdgeSolar es = map.evaluate(e, priced_at);
-    const auto& edge = graph.edge(e);
-    const MetersPerSecond v = map.traffic().speed(graph, e, priced_at);
-    const WattHours out = vehicle.consumption(edge.length, v);
-
-    ExplainStep step;
-    step.edge = e;
-    step.from = edge.from;
-    step.to = edge.to;
-    step.entry = entry;
-    step.slot = entry.slot_index();
-    step.length = edge.length;
-    step.speed = v;
-    step.shade_ratio = es.shade_ratio;
-    step.travel_time = es.travel_time;
-    step.solar_time = es.solar_time;
-    step.shaded_time = es.shaded_time;
-    step.energy_in = es.energy_in;
-    step.energy_out = out;
-
-    // Identical arithmetic to edge_criteria + Criteria::operator+= so
-    // the conservation check holds exactly, not just within tolerance.
-    cumulative += Criteria{es.travel_time, es.shaded_time, out};
-    cumulative_in += es.energy_in;
-    step.cumulative = cumulative;
-    step.cumulative_energy_in = cumulative_in;
-    ledger.steps.push_back(step);
-
-    ledger.totals.total_length += edge.length;
-    ledger.totals.travel_time += es.travel_time;
-    ledger.totals.solar_time += es.solar_time;
-    ledger.totals.shaded_time += es.shaded_time;
-    ledger.totals.energy_in += es.energy_in;
-    ledger.totals.energy_out += out;
-  }
+  // The search's own walk and price, so the ledger sums are the route's
+  // criteria vector by construction.
+  ledger.totals = detail::walk_route(
+      map, world_->vehicle(vehicle_), path, departure, time_dependent,
+      pricing,
+      [&](roadnet::EdgeId e, TimeOfDay entry, const EdgePrice& price,
+          const RouteMetrics& through) {
+        const auto& edge = graph.edge(e);
+        ExplainStep step;
+        step.edge = e;
+        step.from = edge.from;
+        step.to = edge.to;
+        step.entry = entry;
+        step.slot = entry.slot_index();
+        step.length = edge.length;
+        step.speed =
+            map.traffic().speed(graph, e, pricing_time(entry, pricing));
+        step.shade_ratio = price.solar.shade_ratio;
+        step.travel_time = price.solar.travel_time;
+        step.solar_time = price.solar.solar_time;
+        step.shaded_time = price.solar.shaded_time;
+        step.energy_in = price.solar.energy_in;
+        step.energy_out = price.criteria.energy_out;
+        step.cumulative = Criteria{through.travel_time, through.shaded_time,
+                                   through.energy_out};
+        step.cumulative_energy_in = through.energy_in;
+        ledger.steps.push_back(step);
+      });
   return ledger;
 }
 

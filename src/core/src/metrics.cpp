@@ -7,44 +7,42 @@ namespace sunchase::core {
 
 namespace detail {
 
-Criteria edge_criteria(const solar::SolarInputMap& map,
-                       const ev::ConsumptionModel& vehicle,
-                       roadnet::EdgeId edge, TimeOfDay when) {
+EdgePrice price_edge(const solar::SolarInputMap& map,
+                     const ev::ConsumptionModel& vehicle,
+                     roadnet::EdgeId edge, TimeOfDay when) {
   const solar::EdgeSolar es = map.evaluate(edge, when);
   const auto& graph = map.graph();
   const MetersPerSecond v = map.traffic().speed(graph, edge, when);
-  return Criteria{es.travel_time, es.shaded_time,
-                  vehicle.consumption(graph.edge(edge).length, v)};
+  return EdgePrice{Criteria{es.travel_time, es.shaded_time,
+                            vehicle.consumption(graph.edge(edge).length, v)},
+                   es};
 }
 
-RouteMetrics evaluate_route(const solar::SolarInputMap& map,
-                            const ev::ConsumptionModel& vehicle,
-                            const roadnet::Path& path, TimeOfDay departure) {
+RouteMetrics walk_route(const solar::SolarInputMap& map,
+                        const ev::ConsumptionModel& vehicle,
+                        const roadnet::Path& path, TimeOfDay departure,
+                        bool time_dependent, PricingMode pricing,
+                        const RouteVisit& visit) {
   RouteMetrics m;
-  TimeOfDay clock = departure;
-  const auto& graph = map.graph();
   for (const roadnet::EdgeId e : path.edges) {
-    const solar::EdgeSolar es = map.evaluate(e, clock);
-    const MetersPerSecond v = map.traffic().speed(graph, e, clock);
-    m.total_length += graph.edge(e).length;
-    m.travel_time += es.travel_time;
-    m.solar_time += es.solar_time;
-    m.shaded_time += es.shaded_time;
-    m.energy_in += es.energy_in;
-    m.energy_out += vehicle.consumption(graph.edge(e).length, v);
-    clock = clock.advanced_by(es.travel_time);
+    // The label search's clock, summed in path order as labels sum:
+    // the totals are the route's criteria vector bit for bit.
+    const TimeOfDay entry =
+        time_dependent ? departure.advanced_by(m.travel_time) : departure;
+    const EdgePrice price =
+        price_edge(map, vehicle, e, pricing_time(entry, pricing));
+    m.total_length += map.graph().edge(e).length;
+    m.travel_time += price.criteria.travel_time;
+    m.solar_time += price.solar.solar_time;
+    m.shaded_time += price.criteria.shaded_time;
+    m.energy_in += price.solar.energy_in;
+    m.energy_out += price.criteria.energy_out;
+    if (visit) visit(e, entry, price, m);
   }
   return m;
 }
 
 }  // namespace detail
-
-Criteria edge_criteria(const WorldPtr& world, roadnet::EdgeId edge,
-                       TimeOfDay when, std::size_t vehicle) {
-  if (!world) throw InvalidArgument("edge_criteria: null world");
-  return detail::edge_criteria(world->solar_map(), world->vehicle(vehicle),
-                               edge, when);
-}
 
 RouteMetrics evaluate_route(const WorldPtr& world, const roadnet::Path& path,
                             TimeOfDay departure, std::size_t vehicle) {

@@ -344,9 +344,10 @@ MlcResult MultiLabelCorrecting::search(roadnet::NodeId origin,
     }
     for (const roadnet::EdgeId e : out) {
       const Criteria next =
-          entry.cost + (cache_ != nullptr
-                            ? slot_column[e].criteria
-                            : detail::edge_criteria(map, vehicle, e, now));
+          entry.cost +
+          (cache_ != nullptr
+               ? slot_column[e].criteria
+               : detail::price_edge(map, vehicle, e, now).criteria);
       const roadnet::NodeId to = graph.edge(e).to;
       if (time_bound > 0.0) {
         // With lower bounds: can this label still reach the destination

@@ -9,10 +9,7 @@ namespace sunchase::core {
 
 namespace {
 
-/// Follows `path` from the current clock, accruing live-power harvest,
-/// until either the path ends or `stop_at_node` says to break (used to
-/// pause for replanning decisions). Returns the index of the first
-/// unfollowed edge.
+/// The drive so far: its clock and the outcome it accrues into.
 struct FollowState {
   TimeOfDay clock;
   DriveOutcome* outcome;
@@ -21,18 +18,16 @@ struct FollowState {
 void traverse_edge(const World& world, const solar::PanelPowerFn& live_power,
                    std::size_t vehicle_index, roadnet::EdgeId e,
                    FollowState& state) {
-  const roadnet::RoadGraph& graph = world.graph();
-  const ev::ConsumptionModel& vehicle = world.vehicle(vehicle_index);
-  const MetersPerSecond v = world.traffic().speed(graph, e, state.clock);
-  const Meters length = graph.edge(e).length;
-  const Meters solar_len = world.shading().solar_length(graph, e, state.clock);
-  const Seconds tt = length / v;
-  const Seconds solar_time = solar_len / v;
+  // Priced like every edge of the planner, but harvested at the live
+  // panel power instead of the snapshot's.
+  const EdgePrice price = detail::price_edge(
+      world.solar_map(), world.vehicle(vehicle_index), e, state.clock);
   state.outcome->driven.edges.push_back(e);
-  state.outcome->total_time += tt;
-  state.outcome->energy_in += energy(live_power(state.clock), solar_time);
-  state.outcome->energy_out += vehicle.consumption(length, v);
-  state.clock = state.clock.advanced_by(tt);
+  state.outcome->total_time += price.criteria.travel_time;
+  state.outcome->energy_in +=
+      energy(live_power(state.clock), price.solar.solar_time);
+  state.outcome->energy_out += price.criteria.energy_out;
+  state.clock = state.clock.advanced_by(price.criteria.travel_time);
 }
 
 /// The ephemeral planning snapshot for one (re)plan: the base world's

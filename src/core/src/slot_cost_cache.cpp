@@ -73,20 +73,11 @@ std::span<const SlotCostCache::Entry> SlotCostCache::column_view(
 void SlotCostCache::fill(Column& column, int slot) const {
   const auto start = std::chrono::steady_clock::now();
   const TimeOfDay when = TimeOfDay::slot_start(slot);
-  const auto& graph = map_.graph();
-  const std::size_t n = graph.edge_count();
+  const std::size_t n = map_.graph().edge_count();
   std::vector<Entry> entries;
   entries.reserve(n);
-  // Bit-identical to edge_criteria(): the same evaluate/speed/consumption
-  // calls in the same order, just hoisted out of the search loop.
-  for (roadnet::EdgeId e = 0; e < n; ++e) {
-    const solar::EdgeSolar es = map_.evaluate(e, when);
-    const MetersPerSecond v = map_.traffic().speed(graph, e, when);
-    entries.push_back(
-        Entry{Criteria{es.travel_time, es.shaded_time,
-                       vehicle_.consumption(graph.edge(e).length, v)},
-              es});
-  }
+  for (roadnet::EdgeId e = 0; e < n; ++e)
+    entries.push_back(detail::price_edge(map_, vehicle_, e, when));
   column.entries = common::FrozenArray<Entry>(std::move(entries));
   publish_column(
       column,

@@ -14,7 +14,7 @@
 #pragma once
 
 #include <cstdint>
-#include <vector>
+#include <unordered_map>
 
 #include "sunchase/common/time_of_day.h"
 #include "sunchase/roadnet/graph.h"
@@ -63,8 +63,21 @@ class CrowdSolarMap {
   /// the map alive).
   [[nodiscard]] shadow::ShadedFractionFn estimator() const;
 
+  /// Calls `visit(edge, slot, mean)` for every covered cell, in no
+  /// particular order, where `mean` is what shaded_fraction answers.
+  template <class Visit>
+  void for_each_covered(Visit&& visit) const {
+    for (const auto& [index, cell] : cells_)
+      if (cell.count >= options_.min_observations)
+        visit(static_cast<roadnet::EdgeId>(index / slots_),
+              options_.first_slot + static_cast<int>(index % slots_),
+              cell.sum / cell.count);
+  }
+
   /// Fraction of (edge, slot) cells with at least min_observations.
   [[nodiscard]] double coverage() const noexcept;
+
+  [[nodiscard]] std::size_t edge_count() const noexcept { return edge_count_; }
 
   [[nodiscard]] std::size_t observation_count() const noexcept {
     return total_observations_;
@@ -81,7 +94,10 @@ class CrowdSolarMap {
   std::size_t edge_count_;
   shadow::ShadedFractionFn prior_;
   Options options_;
-  std::vector<Cell> cells_;
+  std::size_t slots_ = 0;  ///< slots in the window
+  /// Only the cells that got a report, keyed by index_of.
+  std::unordered_map<std::size_t, Cell> cells_;
+  std::size_t covered_cells_ = 0;  ///< cells with >= min_observations
   std::size_t total_observations_ = 0;
 };
 

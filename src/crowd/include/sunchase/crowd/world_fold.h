@@ -19,7 +19,8 @@ namespace sunchase::crowd {
 /// the crowd mean; every other (edge, slot) keeps the base profile's
 /// value — NOT the crowd map's own prior, so folding never degrades
 /// cells the fleet did not drive. The corrected profile samples the
-/// same slot window as the base.
+/// same slot window as the base. Throws InvalidArgument when the crowd
+/// map's edge count is not the world's.
 [[nodiscard]] core::WorldInit fold_observations(const core::World& base,
                                                 const CrowdSolarMap& crowd);
 

@@ -17,15 +17,11 @@ CrowdSolarMap::CrowdSolarMap(std::size_t edge_count,
     throw InvalidArgument("CrowdSolarMap: bad slot window");
   if (options.min_observations < 1)
     throw InvalidArgument("CrowdSolarMap: min_observations < 1");
-  const std::size_t slots =
-      static_cast<std::size_t>(options.last_slot - options.first_slot + 1);
-  cells_.assign(edge_count_ * slots, Cell{});
+  slots_ = static_cast<std::size_t>(options.last_slot - options.first_slot + 1);
 }
 
 std::size_t CrowdSolarMap::index_of(roadnet::EdgeId edge, int slot) const {
-  const int slots = options_.last_slot - options_.first_slot + 1;
-  return static_cast<std::size_t>(edge) * static_cast<std::size_t>(slots) +
-         static_cast<std::size_t>(slot - options_.first_slot);
+  return edge * slots_ + static_cast<std::size_t>(slot - options_.first_slot);
 }
 
 void CrowdSolarMap::report(const Observation& observation) {
@@ -38,7 +34,7 @@ void CrowdSolarMap::report(const Observation& observation) {
     throw InvalidArgument("CrowdSolarMap::report: fraction outside [0,1]");
   Cell& cell = cells_[index_of(observation.edge, observation.slot)];
   cell.sum += observation.shaded_fraction;
-  ++cell.count;
+  if (++cell.count == options_.min_observations) ++covered_cells_;
   ++total_observations_;
 }
 
@@ -48,9 +44,9 @@ double CrowdSolarMap::shaded_fraction(roadnet::EdgeId edge,
     throw InvalidArgument("CrowdSolarMap::shaded_fraction: unknown edge");
   const int slot =
       std::clamp(when.slot_index(), options_.first_slot, options_.last_slot);
-  const Cell& cell = cells_[index_of(edge, slot)];
-  if (cell.count >= options_.min_observations)
-    return cell.sum / cell.count;
+  const auto it = cells_.find(index_of(edge, slot));
+  if (it != cells_.end() && it->second.count >= options_.min_observations)
+    return it->second.sum / it->second.count;
   return prior_(edge, TimeOfDay::slot_start(slot));
 }
 
@@ -58,7 +54,8 @@ bool CrowdSolarMap::covered(roadnet::EdgeId edge, int slot) const {
   if (edge >= edge_count_)
     throw InvalidArgument("CrowdSolarMap::covered: unknown edge");
   if (slot < options_.first_slot || slot > options_.last_slot) return false;
-  return cells_[index_of(edge, slot)].count >= options_.min_observations;
+  const auto it = cells_.find(index_of(edge, slot));
+  return it != cells_.end() && it->second.count >= options_.min_observations;
 }
 
 shadow::ShadedFractionFn CrowdSolarMap::estimator() const {
@@ -68,12 +65,8 @@ shadow::ShadedFractionFn CrowdSolarMap::estimator() const {
 }
 
 double CrowdSolarMap::coverage() const noexcept {
-  if (cells_.empty()) return 0.0;
-  const auto covered = std::count_if(
-      cells_.begin(), cells_.end(), [this](const Cell& cell) {
-        return cell.count >= options_.min_observations;
-      });
-  return static_cast<double>(covered) / static_cast<double>(cells_.size());
+  return static_cast<double>(covered_cells_) /
+         static_cast<double>(edge_count_ * slots_);
 }
 
 }  // namespace sunchase::crowd

@@ -2,32 +2,36 @@
 
 #include <memory>
 #include <span>
+#include <string>
 #include <utility>
 #include <vector>
 
+#include "sunchase/common/error.h"
 #include "sunchase/common/frozen_array.h"
 
 namespace sunchase::crowd {
 
 core::WorldInit fold_observations(const core::World& base,
                                   const CrowdSolarMap& crowd) {
-  core::WorldInit init = base.recipe();
   const shadow::ShadingProfile& prior = base.shading();
-  // Start from the base table and overwrite the covered cells, one
-  // edge's row of slots at a time: the table, the base profile and the
-  // crowd map all store an edge's slots side by side, so the fold reads
-  // and writes memory in order instead of jumping a row per cell.
+  const std::size_t edges = prior.edge_count();
+  if (crowd.edge_count() != edges)
+    throw InvalidArgument("fold_observations: crowd map has " +
+                          std::to_string(crowd.edge_count()) +
+                          " edges, the world " + std::to_string(edges));
+  core::WorldInit init = base.recipe();
+  // Copy the base table (an edge's slots side by side) and overwrite
+  // only the covered cells: the work follows the reports.
   const std::span<const float> base_fractions = prior.fractions();
   std::vector<float> fractions(base_fractions.begin(), base_fractions.end());
-  const std::size_t edges = prior.edge_count();
   const int first = prior.first_slot();
   const int last = prior.last_slot();
-  std::size_t cell = 0;
-  for (roadnet::EdgeId edge = 0; edge < edges; ++edge)
-    for (int slot = first; slot <= last; ++slot, ++cell)
-      if (crowd.covered(edge, slot))
-        fractions[cell] = static_cast<float>(
-            crowd.shaded_fraction(edge, TimeOfDay::slot_start(slot)));
+  const auto slots = static_cast<std::size_t>(last - first + 1);
+  crowd.for_each_covered([&](roadnet::EdgeId edge, int slot, double mean) {
+    if (slot < first || slot > last) return;  // outside the base window
+    fractions[edge * slots + static_cast<std::size_t>(slot - first)] =
+        static_cast<float>(mean);
+  });
   init.shading = std::make_shared<const shadow::ShadingProfile>(
       shadow::ShadingProfile::from_parts(
           edges, first, last,

@@ -21,6 +21,8 @@ struct EdgeSolar {
   Seconds shaded_time{0.0};   ///< travel_time - solar_time
   WattHours energy_in{0.0};   ///< C * t_solar (Eq. 2)
   double shade_ratio = 0.0;   ///< shaded fraction at the 15-min slot
+
+  friend bool operator==(const EdgeSolar&, const EdgeSolar&) = default;
 };
 
 /// Borrows the graph, shading profile and traffic model (callers keep

@@ -140,8 +140,8 @@ inline std::vector<core::ParetoRoute> brute_force_pareto(
           const roadnet::NodeId v = graph.edge(e).to;
           if (visited[v]) continue;
           stack.push_back(e);
-          dfs(v, cost + core::detail::edge_criteria(map, vehicle, e,
-                                                    departure));
+          dfs(v, cost + core::detail::price_edge(map, vehicle, e, departure)
+                            .criteria);
           stack.pop_back();
         }
         visited[u] = false;

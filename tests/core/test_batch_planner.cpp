@@ -215,15 +215,30 @@ TEST(BatchPlanner, StatsAggregateOverSuccessfulQueries) {
   const auto queries = grid_queries(city);
   const BatchResult result = batch.plan_all(queries);
 
-  std::size_t labels = 0, pareto = 0;
+  // Summed field by field here, not through MlcStats::operator+=, so a
+  // count the batch forgets to add cannot be forgotten on both sides.
+  std::size_t labels = 0, dominated = 0, pops = 0, pareto = 0, pruned = 0,
+              merged = 0, checks = 0;
   for (const auto& q : queries) {
-    const auto single = sequential.search(q.origin, q.destination,
-                                          q.departure);
-    labels += single.stats.labels_created;
-    pareto += single.stats.pareto_size;
+    const MlcStats single =
+        sequential.search(q.origin, q.destination, q.departure).stats;
+    labels += single.labels_created;
+    dominated += single.labels_dominated;
+    pops += single.queue_pops;
+    pareto += single.pareto_size;
+    pruned += single.labels_pruned_bound;
+    merged += single.labels_merged_epsilon;
+    checks += single.dominance_checks;
   }
-  EXPECT_EQ(result.stats.totals.labels_created, labels);
-  EXPECT_EQ(result.stats.totals.pareto_size, pareto);
+  const MlcStats& totals = result.stats.totals;
+  EXPECT_GT(checks, 0u);
+  EXPECT_EQ(totals.labels_created, labels);
+  EXPECT_EQ(totals.labels_dominated, dominated);
+  EXPECT_EQ(totals.queue_pops, pops);
+  EXPECT_EQ(totals.pareto_size, pareto);
+  EXPECT_EQ(totals.labels_pruned_bound, pruned);
+  EXPECT_EQ(totals.labels_merged_epsilon, merged);
+  EXPECT_EQ(totals.dominance_checks, checks);
   EXPECT_EQ(result.stats.query_count, queries.size());
   EXPECT_EQ(result.stats.succeeded, queries.size());
   EXPECT_GT(result.stats.wall_seconds, 0.0);

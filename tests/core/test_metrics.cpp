@@ -11,8 +11,10 @@ TEST(EdgeCriteria, ConsistentWithInputMap) {
   test::SquareGraph sq;
   test::RoutingEnv env(sq.graph);
   const TimeOfDay when = TimeOfDay::hms(10, 0);
-  const Criteria c = detail::edge_criteria(env.map, env.lv, 0, when);
+  const EdgePrice price = detail::price_edge(env.map, env.lv, 0, when);
+  const Criteria& c = price.criteria;
   const solar::EdgeSolar es = env.map.evaluate(0, when);
+  EXPECT_EQ(price.solar, es);
   EXPECT_DOUBLE_EQ(c.travel_time.value(), es.travel_time.value());
   EXPECT_DOUBLE_EQ(c.shaded_time.value(), es.shaded_time.value());
   const MetersPerSecond v = env.traffic.speed(sq.graph, 0, when);
@@ -47,22 +49,35 @@ TEST(EvaluateRoute, AccumulatesAlongPath) {
   EXPECT_GT(m.energy_out.value(), 0.0);
 }
 
-TEST(EvaluateRoute, MatchesMlcCostVector) {
-  // The metrics of a route must agree with the cost vector the search
-  // assigned to it (same clock advance rule).
-  const roadnet::GridCity city{roadnet::GridCityOptions{}};
-  test::RoutingEnv env(city.graph());
-  const MultiLabelCorrecting solver(env.world, MlcOptions{});
-  const TimeOfDay dep = TimeOfDay::hms(10, 0);
-  const MlcResult result =
-      solver.search(city.node_at(1, 1), city.node_at(6, 7), dep);
+/// Every route's metrics equal the cost vector the exact,
+/// time-dependent search assigned it, bit for bit: both walk the route
+/// on the same clock and price each edge with price_edge.
+void expect_metrics_are_search_costs(const WorldPtr& world,
+                                     roadnet::NodeId origin,
+                                     roadnet::NodeId destination,
+                                     TimeOfDay departure) {
+  const MultiLabelCorrecting solver(world, MlcOptions{});
+  const MlcResult result = solver.search(origin, destination, departure);
   ASSERT_FALSE(result.routes.empty());
   for (const auto& route : result.routes) {
-    const RouteMetrics m = detail::evaluate_route(env.map, env.lv, route.path, dep);
-    EXPECT_NEAR(m.travel_time.value(), route.cost.travel_time.value(), 1e-6);
-    EXPECT_NEAR(m.shaded_time.value(), route.cost.shaded_time.value(), 1e-6);
-    EXPECT_NEAR(m.energy_out.value(), route.cost.energy_out.value(), 1e-6);
+    const RouteMetrics m = evaluate_route(world, route.path, departure);
+    EXPECT_EQ(m.travel_time.value(), route.cost.travel_time.value());
+    EXPECT_EQ(m.shaded_time.value(), route.cost.shaded_time.value());
+    EXPECT_EQ(m.energy_out.value(), route.cost.energy_out.value());
   }
+}
+
+TEST(EvaluateRoute, MatchesMlcCostVector) {
+  const roadnet::GridCity city{roadnet::GridCityOptions{}};
+  test::RoutingEnv env(city.graph());
+  expect_metrics_are_search_costs(env.world, city.node_at(1, 1),
+                                  city.node_at(6, 7), TimeOfDay::hms(10, 0));
+  // The paper world's UrbanTraffic speeds change within a slot, so a
+  // walk on any other clock than the search's drifts in the last bits.
+  for (const int hour : {8, 9, 12, 16, 17})
+    for (const roadnet::NodeId origin : {0u, 5u, 13u})
+      expect_metrics_are_search_costs(test::paper_world(), origin, 143,
+                                      TimeOfDay::hms(hour, 7));
 }
 
 TEST(EnergyExtra, EquationFiveSigns) {

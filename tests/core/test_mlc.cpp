@@ -237,7 +237,7 @@ TEST(Mlc, TimeIndependentPricesEveryEdgeAtTheDepartureInstant) {
   for (const auto& route : result.routes) {
     Criteria static_cost;
     for (const roadnet::EdgeId e : route.path.edges)
-      static_cost += detail::edge_criteria(env.map, env.lv, e, dep);
+      static_cost += detail::price_edge(env.map, env.lv, e, dep).criteria;
     EXPECT_EQ(route.cost, static_cost);
   }
 }
@@ -269,7 +269,7 @@ TEST(Mlc, TimeIndependentSearchIgnoresMidRouteSlotBoundaries) {
   for (const auto& route : st.routes) {
     Criteria at_departure;
     for (const roadnet::EdgeId e : route.path.edges)
-      at_departure += detail::edge_criteria(env.map, env.lv, e, dep);
+      at_departure += detail::price_edge(env.map, env.lv, e, dep).criteria;
     EXPECT_EQ(route.cost, at_departure);
   }
   // ...while the time-dependent search sees the slot change mid-route:
@@ -278,7 +278,7 @@ TEST(Mlc, TimeIndependentSearchIgnoresMidRouteSlotBoundaries) {
   for (const auto& route : dy.routes) {
     Criteria at_departure;
     for (const roadnet::EdgeId e : route.path.edges)
-      at_departure += detail::edge_criteria(env.map, env.lv, e, dep);
+      at_departure += detail::price_edge(env.map, env.lv, e, dep).criteria;
     if (!equivalent(route.cost, at_departure)) any_differs = true;
   }
   EXPECT_TRUE(any_differs);
@@ -286,7 +286,7 @@ TEST(Mlc, TimeIndependentSearchIgnoresMidRouteSlotBoundaries) {
 
 TEST(Mlc, SlotQuantizedParetoSetsAreBitIdenticalOnASlotConstantWorld) {
   // RoutingEnv is slot-constant: UniformTraffic, slot-indexed shading,
-  // constant panel power. Every input to edge_criteria is therefore
+  // constant panel power. Every input to price_edge is therefore
   // identical at the exact entry clock and at the slot start, so the
   // SlotQuantized search must reproduce the Exact Pareto sets bit for
   // bit — costs, paths, and search-effort stats alike.

@@ -161,8 +161,9 @@ MlcResult reference_search(const WorldPtr& world, const MlcOptions& options,
     const int slot = cache ? now.slot_index() : 0;
     for (const roadnet::EdgeId e : graph.out_edges(current.node)) {
       const Criteria next =
-          current.cost + (cache ? cache->at(e, slot).criteria
-                                : detail::edge_criteria(map, vehicle, e, now));
+          current.cost +
+          (cache ? cache->at(e, slot).criteria
+                 : detail::price_edge(map, vehicle, e, now).criteria);
       const roadnet::NodeId to = graph.edge(e).to;
       if (time_bound > 0.0) {
         const double slack = lower_bounds.empty() ? 0.0 : lower_bounds[to];

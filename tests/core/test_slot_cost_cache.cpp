@@ -19,23 +19,20 @@ obs::Counter& misses() {
 }
 
 TEST(SlotCostCache, EntriesMatchEdgeCriteriaAtTheSlotStart) {
+  // Bit-exact, not approximate: every row is price_edge at the slot
+  // start, criteria and solar accounting alike. The paper world's
+  // UrbanTraffic moves speeds within a slot, so a row priced at any
+  // other clock would differ there.
   const roadnet::GridCity city{roadnet::GridCityOptions{}};
   test::RoutingEnv env(city.graph());
-  const SlotCostCache& cache = env.world->slot_cache(test::RoutingEnv::kLv);
-
-  // Bit-exact, not approximate: the cache must run the same arithmetic
-  // as edge_criteria, just hoisted out of the search loop.
-  for (const int slot : {0, 33, 40, TimeOfDay::kSlotsPerDay - 1}) {
-    const TimeOfDay when = TimeOfDay::slot_start(slot);
-    for (roadnet::EdgeId e = 0; e < 8; ++e) {
-      const SlotCostCache::Entry& entry = cache.at(e, slot);
-      EXPECT_EQ(entry.criteria, detail::edge_criteria(env.map, env.lv, e, when));
-      const solar::EdgeSolar direct = env.map.evaluate(e, when);
-      EXPECT_EQ(entry.solar.travel_time.value(), direct.travel_time.value());
-      EXPECT_EQ(entry.solar.solar_time.value(), direct.solar_time.value());
-      EXPECT_EQ(entry.solar.shaded_time.value(), direct.shaded_time.value());
-      EXPECT_EQ(entry.solar.energy_in.value(), direct.energy_in.value());
-      EXPECT_EQ(entry.solar.shade_ratio, direct.shade_ratio);
+  for (const WorldPtr& world : {env.world, test::paper_world()}) {
+    const SlotCostCache& cache = world->slot_cache(0);
+    for (const int slot : {0, 30, 33, 40, 66, TimeOfDay::kSlotsPerDay - 1}) {
+      const TimeOfDay when = TimeOfDay::slot_start(slot);
+      for (roadnet::EdgeId e = 0; e < world->graph().edge_count(); ++e)
+        EXPECT_EQ(cache.at(e, slot),
+                  detail::price_edge(world->solar_map(), world->vehicle(0), e,
+                                     when));
     }
   }
 }
@@ -97,7 +94,8 @@ TEST(SlotCostCache, ConcurrentReadersShareOneMaterialization) {
   constexpr int kReads = 200;
   std::atomic<int> mismatches{0};
   const TimeOfDay at40 = TimeOfDay::slot_start(40);
-  const Criteria expected = detail::edge_criteria(env.map, env.lv, 0, at40);
+  const Criteria expected =
+      detail::price_edge(env.map, env.lv, 0, at40).criteria;
   std::vector<std::thread> threads;
   threads.reserve(kThreads);
   for (int t = 0; t < kThreads; ++t)
@@ -144,7 +142,8 @@ TEST(SlotCostCache, DayBoundaryPricesIdenticallyInBothModesNeverSlot96) {
         pricing_time(entry, PricingMode::SlotQuantized);
     EXPECT_EQ(quantized, TimeOfDay::slot_start(TimeOfDay::kSlotsPerDay - 1));
     for (roadnet::EdgeId e = 0; e < sq.graph.edge_count(); ++e) {
-      const Criteria exact = detail::edge_criteria(env.map, env.lv, e, entry);
+      const Criteria exact =
+          detail::price_edge(env.map, env.lv, e, entry).criteria;
       EXPECT_EQ(cache.at(e, entry.slot_index()).criteria, exact);
     }
   }

@@ -72,6 +72,25 @@ TEST(CrowdMap, CoverageCountsCells) {
   EXPECT_NEAR(map.coverage(), 2.0 / (2.0 * slots), 1e-12);
 }
 
+TEST(CrowdMap, CoverageCountsACellOncePastTheThreshold) {
+  CrowdSolarMap::Options opt = window();
+  opt.min_observations = 2;
+  const int slots = opt.last_slot - opt.first_slot + 1;
+  CrowdSolarMap map(4, constant_prior(0.0), opt);
+  for (std::uint64_t id = 1; id <= 5; ++id)
+    map.report(Observation{2, 40, 0.5, id});
+  map.report(Observation{3, 41, 0.5, 6});  // one report: below threshold
+  EXPECT_NEAR(map.coverage(), 1.0 / (4.0 * slots), 1e-12);
+  int visited = 0;
+  map.for_each_covered([&](roadnet::EdgeId edge, int slot, double mean) {
+    ++visited;
+    EXPECT_EQ(edge, 2u);
+    EXPECT_EQ(slot, 40);
+    EXPECT_EQ(mean, map.shaded_fraction(2, TimeOfDay::slot_start(40)));
+  });
+  EXPECT_EQ(visited, 1);
+}
+
 TEST(CrowdMap, ReportValidation) {
   CrowdSolarMap map(4, constant_prior(0.5), window());
   EXPECT_THROW(map.report(Observation{9, 40, 0.5, 1}), InvalidArgument);

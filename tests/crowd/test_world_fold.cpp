@@ -11,6 +11,7 @@
 #include <span>
 #include <utility>
 
+#include "sunchase/common/error.h"
 #include "sunchase/core/planner.h"
 #include "sunchase/ev/consumption.h"
 #include "sunchase/roadnet/citygen.h"
@@ -79,10 +80,11 @@ TEST(WorldFold, CoveredCellsTakeCrowdMeanUncoveredKeepBaseProfile) {
 }
 
 TEST(WorldFold, FoldEqualsPerCellResampleBitForBit) {
-  // A base profile that differs per edge and slot, and a crowd map with
-  // a narrower window and a two-report threshold: the fold must give
-  // every cell exactly what sampling "covered ? crowd mean : base" at
-  // each slot start gives.
+  // A base profile that differs per edge and slot, and a crowd map
+  // whose window starts after the base's and ends past it, with a
+  // two-report threshold: the fold must give every cell exactly what
+  // sampling "covered ? crowd mean : base" at each slot start gives,
+  // and covered cells past the base window must change nothing.
   const roadnet::GridCity city{roadnet::GridCityOptions{}};
   core::WorldInit init = base_init(city);
   init.shading = std::make_shared<const shadow::ShadingProfile>(
@@ -98,7 +100,7 @@ TEST(WorldFold, FoldEqualsPerCellResampleBitForBit) {
 
   CrowdSolarMap::Options opt;
   opt.first_slot = TimeOfDay::hms(10, 0).slot_index();
-  opt.last_slot = TimeOfDay::hms(15, 0).slot_index();
+  opt.last_slot = TimeOfDay::hms(20, 0).slot_index();
   opt.min_observations = 2;
   CrowdSolarMap crowd(edges, [](roadnet::EdgeId, TimeOfDay) { return 0.99; },
                       opt);
@@ -131,6 +133,20 @@ TEST(WorldFold, FoldEqualsPerCellResampleBitForBit) {
   for (std::size_t i = 0; i < got.size(); ++i)
     if (std::memcmp(&got[i], &want[i], sizeof(float)) != 0) ++differing;
   EXPECT_EQ(differing, 0u);
+}
+
+TEST(WorldFold, RejectsACrowdMapOfAnotherEdgeCount) {
+  // The fold writes covered cells by index: a crowd map sized for
+  // another graph is refused, never folded out of bounds.
+  const roadnet::GridCity city{roadnet::GridCityOptions{}};
+  const core::WorldPtr base = core::World::create(base_init(city));
+  const std::size_t edges = base->graph().edge_count();
+  for (const std::size_t other : {edges - 1, edges + 1}) {
+    CrowdSolarMap crowd = make_crowd(other);
+    crowd.report(Observation{static_cast<roadnet::EdgeId>(other - 1),
+                             TimeOfDay::hms(12, 0).slot_index(), 0.5, 1});
+    EXPECT_THROW((void)fold_observations(*base, crowd), InvalidArgument);
+  }
 }
 
 TEST(WorldFold, PublishCrowdWorldBumpsVersionAndKeepsOldPins) {
