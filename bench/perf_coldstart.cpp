@@ -129,9 +129,9 @@ int main(int argc, char** argv) {
   }
   const std::size_t rss_after_build_kb = vm_rss_kb();
 
-  // Fingerprint the built world first: the slot-pricing pass fills
-  // cache columns, so the snapshot below carries them and the loaded
-  // world boots warm.
+  // The slot-pricing pass fills cache columns on the built world; the
+  // snapshot holds only the world's inputs, so the loaded world refills
+  // its columns on first touch.
   const std::vector<double> built_exact =
       fingerprint(built, core::PricingMode::Exact);
   const std::vector<double> built_slot =
@@ -151,7 +151,6 @@ int main(int argc, char** argv) {
     if (load_seconds < 0.0 || dt < load_seconds) load_seconds = dt;
   }
   const std::size_t rss_after_load_kb = vm_rss_kb();
-  const std::size_t warm_slots = loaded->slot_cache().filled_slots();
 
   const bool fingerprint_ok =
       fingerprint(loaded, core::PricingMode::Exact) == built_exact &&
@@ -165,8 +164,7 @@ int main(int argc, char** argv) {
               save_seconds * 1e3,
               static_cast<unsigned long long>(info.file_bytes),
               info.sections.size());
-  std::printf("  snapshot load %9.2f ms  (%zu warm cache slots)\n",
-              load_seconds * 1e3, warm_slots);
+  std::printf("  snapshot load %9.2f ms\n", load_seconds * 1e3);
   std::printf("  speedup       %9.1fx\n", speedup);
   std::printf("  rss           %zu kB after build, %zu kB after load\n",
               rss_after_build_kb, rss_after_load_kb);
@@ -187,7 +185,6 @@ int main(int argc, char** argv) {
   report.add("speedup", {}, speedup, "x", bench::at_least(5.0));
   report.add("snapshot_bytes", {}, static_cast<double>(info.file_bytes),
              "bytes");
-  report.add("warm_slots", {}, static_cast<double>(warm_slots), "count");
   report.add("rss_after_build_kb", {},
              static_cast<double>(rss_after_build_kb), "kB");
   report.add("rss_after_load_kb", {}, static_cast<double>(rss_after_load_kb),

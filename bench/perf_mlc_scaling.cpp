@@ -102,10 +102,19 @@ bool same_counts(const Sample& s, const core::MlcStats& stats) {
          s.dominance_checks == stats.dominance_checks;
 }
 
-/// Best-of-`repeats` search at one configuration; timings come from the
-/// fastest repeat. The search is deterministic, so every repeat must
-/// report the same counts; `deterministic` records whether they did (a
-/// kernel reading garbage bag lanes would not).
+/// Every configuration repeats until its searches have run this long
+/// in total, as well as at least `repeats` times. The n = 6 search
+/// that sets the peak q/s gate takes 25-45 us, so its best of 2 or 3
+/// read whatever the host was doing in that instant; 50 ms gives it
+/// over a thousand tries. The n = 32 searches take longer than this
+/// alone and still run `repeats` times.
+constexpr double kMinSearchSeconds = 0.05;
+
+/// Best-of-`repeats` search at one configuration (more repeats for
+/// fast searches, see kMinSearchSeconds); timings come from the fastest
+/// repeat. The search is deterministic, so every repeat must report the
+/// same counts; `deterministic` records whether they did (a kernel
+/// reading garbage bag lanes would not).
 Sample run_config(int n, bool prune, double epsilon, int repeats) {
   ScalingWorld& w = world_of(n);
   core::MlcOptions opt;
@@ -117,10 +126,12 @@ Sample run_config(int n, bool prune, double epsilon, int repeats) {
   s.n = n;
   s.mode = prune ? "pruned" : "unpruned";
   s.epsilon = epsilon;
-  for (int r = 0; r < repeats; ++r) {
+  double total_seconds = 0.0;
+  for (int r = 0; r < repeats || total_seconds < kMinSearchSeconds; ++r) {
     const auto result = solver.search(w.city.node_at(0, 0),
                                       w.city.node_at(n - 1, n - 1),
                                       TimeOfDay::hms(10, 0));
+    total_seconds += result.stats.search_seconds;
     if (r == 0) {
       s.labels_created = result.stats.labels_created;
       s.labels_pruned_bound = result.stats.labels_pruned_bound;
@@ -207,8 +218,9 @@ int main(int argc, char** argv) {
   };
 
   std::vector<Sample> samples;
+  const double min_ms = kMinSearchSeconds * 1e3;
   std::printf("corner-to-corner searches, time budget 1.1x, 10:00, "
-              "best of %d\n\n", repeats);
+              "best of at least %d and %.0f ms\n\n", repeats, min_ms);
   std::printf("%4s %9s %8s %9s %8s %10s %10s %7s %10s %12s\n", "n", "mode",
               "ms", "lb_ms", "labels", "pruned", "pops", "pareto", "checks",
               "checks/label");

@@ -326,12 +326,11 @@ int run_snapshot(const CliOptions& opt) {
   }
   if (opt.snapshot_action == "load") {
     const core::WorldPtr world = core::load_world_snapshot(opt.snapshot_file);
-    std::printf("%s: world v%llu — %zu nodes, %zu edges, %zu vehicles, "
-                "%zu warm cache slots\n",
+    std::printf("%s: world v%llu — %zu nodes, %zu edges, %zu vehicles\n",
                 opt.snapshot_file.c_str(),
                 static_cast<unsigned long long>(world->version()),
                 world->graph().node_count(), world->graph().edge_count(),
-                world->vehicle_count(), world->slot_cache().filled_slots());
+                world->vehicle_count());
     return 0;
   }
   const core::WorldPtr world = build_city_world(opt);
@@ -419,11 +418,7 @@ extern "C" void handle_stop_signal(int) {
 int run_serve(const CliOptions& opt, core::PricingMode pricing,
               core::WorldPtr world) {
   core::WorldStore store(std::move(world));
-  if (!opt.world_dir.empty()) {
-    core::JournalOptions journal;
-    journal.directory = opt.world_dir;
-    store.enable_journal(std::move(journal));
-  }
+  if (!opt.world_dir.empty()) store.enable_journal(opt.world_dir);
   const std::unique_ptr<obs::QueryLog> query_log = open_query_log(opt);
 
   serve::RouteServiceOptions service_options;

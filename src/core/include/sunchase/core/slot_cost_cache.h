@@ -16,7 +16,6 @@
 #include <span>
 #include <vector>
 
-#include "sunchase/common/frozen_array.h"
 #include "sunchase/core/edge_cost.h"
 #include "sunchase/obs/metrics.h"
 
@@ -76,13 +75,6 @@ class SlotCostCache {
     return filled_slots() * map_.graph().edge_count() * sizeof(Entry);
   }
 
-  /// The materialized column for `slot`, or an empty span when it has
-  /// not filled yet (acquire-synchronized with the filler). Snapshot
-  /// serialization walks this to persist exactly the columns the
-  /// workload touched. Throws InvalidArgument for a slot outside
-  /// [0, kSlotsPerDay).
-  [[nodiscard]] std::span<const Entry> column_view(int slot) const;
-
  private:
   friend class World;
   SlotCostCache(const solar::SolarInputMap& map,
@@ -91,29 +83,16 @@ class SlotCostCache {
   struct Column {
     std::once_flag once;
     std::atomic<bool> ready{false};
-    /// edge_count rows once filled: heap-built by fill(), or a
-    /// zero-copy view into a mapped snapshot (adopt_column).
-    common::FrozenArray<Entry> entries;
+    std::vector<Entry> entries;  ///< edge_count rows once filled
   };
 
   /// The published column for `slot` (range already checked), filling
   /// it first if needed; `missed` as in column().
   Column& ready_column(int slot, bool& missed) const;
 
+  /// Prices every edge at the slot start, then publishes the column:
+  /// flips `ready`, bumps the filled counter and refreshes the gauges.
   void fill(Column& column, int slot) const;
-
-  /// Pre-fills `slot` with an already-priced column (a snapshot
-  /// section mapped from disk) instead of computing it. Runs under the
-  /// column's once_flag, so a later at() treats it as filled; counted
-  /// in filled_slots()/bytes() like a computed column. Throws
-  /// InvalidArgument when the slot is out of range or the row count is
-  /// not edge_count. Called by World during construction only (before
-  /// the cache is shared).
-  void adopt_column(int slot, common::FrozenArray<Entry> entries) const;
-
-  /// Common publication tail of fill/adopt: flips `ready`, bumps the
-  /// filled counter and refreshes the gauges.
-  void publish_column(Column& column, double fill_seconds) const;
 
   const solar::SolarInputMap& map_;
   const ev::ConsumptionModel& vehicle_;

@@ -41,17 +41,6 @@ struct WorldInit {
   std::vector<std::shared_ptr<const ev::ConsumptionModel>> vehicles;
 };
 
-/// One pre-priced slot-cache column carried by a binary snapshot:
-/// installed into vehicle `vehicle`'s cache at `slot` during
-/// World::create_prefilled, so a loaded world starts with the columns
-/// the saved workload had already materialized (typically zero-copy
-/// views into the mapped file).
-struct SlotCachePrefill {
-  std::size_t vehicle = 0;
-  int slot = 0;
-  common::FrozenArray<SlotCostCache::Entry> entries;
-};
-
 class World {
  public:
   /// Builds a snapshot. Throws InvalidArgument when any component is
@@ -60,15 +49,6 @@ class World {
   /// increasing versions, standalone snapshots default to 1.
   [[nodiscard]] static WorldPtr create(WorldInit init,
                                        std::uint64_t version = 1);
-
-  /// create() plus pre-filled slot-cache columns (the snapshot load
-  /// path). Each prefill entry is validated (vehicle index, slot
-  /// range, row count = edge count) and installed before the world is
-  /// shared, so readers cannot race the installation. Throws
-  /// InvalidArgument on any invalid component or prefill entry.
-  [[nodiscard]] static WorldPtr create_prefilled(
-      WorldInit init, std::uint64_t version,
-      std::vector<SlotCachePrefill> prefill);
 
   World(const World&) = delete;
   World& operator=(const World&) = delete;

@@ -1,12 +1,13 @@
 // Serialization of a core::World to and from the binary snapshot
 // format (snapshot::SnapshotWriter/SnapshotReader). Saving writes the
-// world's frozen arrays verbatim — the CSR road graph (both
-// directions), the shading fraction table, the traffic and vehicle
-// parameters, the panel-power curve sampled per 15-minute slot, and
-// optionally every materialized SlotCostCache column. Loading mmaps
-// the file and rebuilds the World over zero-copy views of those same
-// bytes: the big arrays are never copied, and plan results on the
-// loaded world are bit-identical to the world that was saved.
+// world's inputs verbatim — the CSR road graph (both directions), the
+// shading fraction table, the traffic and vehicle parameters and the
+// panel-power curve sampled per 15-minute slot. Loading mmaps the file
+// and rebuilds the World over zero-copy views of those same bytes: the
+// big arrays are never copied, and plan results on the loaded world
+// are bit-identical to the world that was saved. SlotCostCache columns
+// are derived data and are not saved: a loaded world fills them on
+// first touch, exactly as a freshly built world does.
 //
 // Model serialization is by parameters, not by pickling: the traffic
 // and vehicle models the library ships are pure functions of their
@@ -26,20 +27,10 @@
 
 namespace sunchase::core {
 
-struct SaveOptions {
-  /// Persist every SlotCostCache column materialized so far, so the
-  /// loaded world starts warm. Off for minimal files (columns refill
-  /// lazily on first touch, bit-identically).
-  bool include_slot_cache = true;
-  /// fsync file and directory (see snapshot::WriteOptions).
-  bool durable = true;
-};
-
-/// Writes `world` to `path` atomically (tmp + rename). Throws
-/// common::SnapshotError on I/O failure or an unserializable
-/// traffic/vehicle model.
-void save_world_snapshot(const World& world, const std::string& path,
-                         const SaveOptions& options = {});
+/// Writes `world` to `path` atomically and durably (tmp, fsync,
+/// rename, directory fsync). Throws common::SnapshotError on I/O
+/// failure or an unserializable traffic/vehicle model.
+void save_world_snapshot(const World& world, const std::string& path);
 
 /// Maps `path` and reconstructs its World (version from the file
 /// header). Validates every checksum eagerly; throws

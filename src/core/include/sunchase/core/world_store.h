@@ -22,32 +22,12 @@
 
 namespace sunchase::core {
 
-/// Persistence mode for a WorldStore: an append-only journal directory
-/// of `world-<version>.scsnap` snapshots plus an atomically renamed
-/// MANIFEST naming the newest one. With a journal enabled, publish()
-/// persists the new version before swapping it in.
-struct JournalOptions {
-  std::string directory;  ///< created if missing
-  /// Durable publishes: the snapshot is fsync'd before the swap, and a
-  /// persist failure aborts the publish (readers keep the old version,
-  /// the version number is not consumed). Non-durable journaling is
-  /// best-effort: a failed persist is logged and counted, and the
-  /// in-memory publish proceeds.
-  bool durable = true;
-  /// Persist materialized SlotCostCache columns too (bigger files,
-  /// warm-started loads). Off by default: columns refill lazily and
-  /// bit-identically.
-  bool include_slot_cache = false;
-};
-
 /// Journal status for introspection (GET /debug/worlds).
 struct JournalState {
   bool enabled = false;
   std::string directory;
-  bool durable = false;
-  bool include_slot_cache = false;
   std::uint64_t persisted_version = 0;  ///< newest version on disk (0 = none)
-  std::uint64_t persist_failures = 0;   ///< non-durable best-effort failures
+  std::uint64_t persist_failures = 0;   ///< persists that aborted a publish
   std::uint64_t snapshots_on_disk = 0;  ///< world-*.scsnap files present
 };
 
@@ -99,18 +79,20 @@ class WorldStore {
   /// Builds `next` as a new World with the next version number and
   /// swaps it in atomically. Concurrent publishers are serialized
   /// (versions stay dense and monotonic); readers are never blocked.
-  /// With a journal enabled the version is persisted first — see
-  /// JournalOptions::durable for the failure contract. Returns the
-  /// newly published snapshot.
+  /// With a journal enabled the version is first written durably to
+  /// the journal; a persist failure throws common::SnapshotError and
+  /// aborts the publish (readers keep the old version, and the version
+  /// number is not consumed). Returns the newly published snapshot.
   WorldPtr publish(WorldInit next);
 
-  /// Turns on journaling to `options.directory` (created if missing)
-  /// and persists the current version immediately when the directory
-  /// does not already hold it — so a store adopted from load_latest()
-  /// does not rewrite the snapshot it just mapped. Throws
-  /// common::SnapshotError when the directory cannot be created or the
-  /// initial persist fails.
-  void enable_journal(JournalOptions options);
+  /// Turns on journaling: an append-only `directory` (created if
+  /// missing) of `world-<version>.scsnap` snapshots plus an atomically
+  /// renamed MANIFEST naming the newest one. Persists the current
+  /// version immediately when the directory does not already hold it —
+  /// so a store adopted from load_latest() does not rewrite the
+  /// snapshot it just mapped. Throws common::SnapshotError when the
+  /// directory cannot be created or the initial persist fails.
+  void enable_journal(std::string directory);
 
   /// Journal status (scans the directory for the on-disk count).
   [[nodiscard]] JournalState journal_state() const;
@@ -148,7 +130,7 @@ class WorldStore {
   std::deque<std::pair<std::uint64_t, std::weak_ptr<const World>>> lineage_;
   // Journal fields, all guarded by publish_mutex_.
   bool journal_enabled_ = false;
-  JournalOptions journal_;
+  std::string journal_directory_;
   std::uint64_t journal_persisted_version_ = 0;
   std::uint64_t journal_persist_failures_ = 0;
 };

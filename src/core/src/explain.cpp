@@ -7,20 +7,12 @@
 #include <utility>
 
 #include "sunchase/common/error.h"
+#include "sunchase/common/json_text.h"
 #include "sunchase/core/world.h"
 
 namespace sunchase::core {
 
-namespace {
-
-std::string format_double(double v) {
-  std::ostringstream out;
-  out.precision(12);
-  out << v;
-  return out.str();
-}
-
-}  // namespace
+using common::format_double;
 
 double RouteLedger::max_deviation(const Criteria& cost) const noexcept {
   const Criteria sum = steps.empty() ? Criteria{} : steps.back().cumulative;

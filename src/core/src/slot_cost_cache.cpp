@@ -2,8 +2,6 @@
 
 #include <chrono>
 #include <string>
-#include <utility>
-#include <vector>
 
 #include "sunchase/common/error.h"
 
@@ -49,7 +47,7 @@ const SlotCostCache::Entry& SlotCostCache::at(roadnet::EdgeId edge,
 std::span<const SlotCostCache::Entry> SlotCostCache::column(
     int slot, bool& missed) const {
   check_slot("SlotCostCache::column", slot);
-  return ready_column(slot, missed).entries.span();
+  return ready_column(slot, missed).entries;
 }
 
 SlotCostCache::Column& SlotCostCache::ready_column(int slot,
@@ -62,55 +60,22 @@ SlotCostCache::Column& SlotCostCache::ready_column(int slot,
   return column;
 }
 
-std::span<const SlotCostCache::Entry> SlotCostCache::column_view(
-    int slot) const {
-  check_slot("SlotCostCache::column_view", slot);
-  const Column& column = columns_[static_cast<std::size_t>(slot)];
-  if (!column.ready.load(std::memory_order_acquire)) return {};
-  return column.entries.span();
-}
-
 void SlotCostCache::fill(Column& column, int slot) const {
   const auto start = std::chrono::steady_clock::now();
   const TimeOfDay when = TimeOfDay::slot_start(slot);
   const std::size_t n = map_.graph().edge_count();
-  std::vector<Entry> entries;
-  entries.reserve(n);
+  column.entries.reserve(n);
   for (roadnet::EdgeId e = 0; e < n; ++e)
-    entries.push_back(detail::price_edge(map_, vehicle_, e, when));
-  column.entries = common::FrozenArray<Entry>(std::move(entries));
-  publish_column(
-      column,
+    column.entries.push_back(detail::price_edge(map_, vehicle_, e, when));
+  const double seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-          .count());
-}
-
-void SlotCostCache::adopt_column(int slot,
-                                 common::FrozenArray<Entry> entries) const {
-  check_slot("SlotCostCache::adopt_column", slot);
-  if (entries.size() != map_.graph().edge_count())
-    throw InvalidArgument("SlotCostCache::adopt_column: column has " +
-                          std::to_string(entries.size()) + " rows for " +
-                          std::to_string(map_.graph().edge_count()) +
-                          " edges");
-  Column& column = columns_[static_cast<std::size_t>(slot)];
-  // Under the same once_flag as fill(): if the column somehow filled
-  // first, the adoption is a no-op rather than a tear.
-  std::call_once(column.once, [&] {
-    column.entries = std::move(entries);
-    publish_column(column, 0.0);
-  });
-}
-
-void SlotCostCache::publish_column(Column& column,
-                                   double fill_seconds) const {
+          .count();
   column.ready.store(true, std::memory_order_release);
   const std::size_t filled =
       filled_.fetch_add(1, std::memory_order_relaxed) + 1;
   slots_gauge_.set(static_cast<double>(filled));
-  bytes_gauge_.set(static_cast<double>(
-      filled * map_.graph().edge_count() * sizeof(Entry)));
-  fill_seconds_.observe(fill_seconds);
+  bytes_gauge_.set(static_cast<double>(filled * n * sizeof(Entry)));
+  fill_seconds_.observe(seconds);
 }
 
 }  // namespace sunchase::core

@@ -17,9 +17,7 @@ World::World(WorldInit init, std::uint64_t version)
         new SlotCostCache(map_, *vehicle)));
 }
 
-namespace {
-
-void validate_init(const WorldInit& init) {
+WorldPtr World::create(WorldInit init, std::uint64_t version) {
   if (!init.graph) throw InvalidArgument("World: null graph");
   if (!init.traffic) throw InvalidArgument("World: null traffic model");
   if (!init.shading) throw InvalidArgument("World: null shading profile");
@@ -29,33 +27,9 @@ void validate_init(const WorldInit& init) {
     throw InvalidArgument("World: at least one vehicle is required");
   for (const auto& vehicle : init.vehicles)
     if (!vehicle) throw InvalidArgument("World: null vehicle model");
-}
-
-}  // namespace
-
-WorldPtr World::create(WorldInit init, std::uint64_t version) {
-  validate_init(init);
   // Not make_shared: the constructor is private, and the object must
   // never move (the solar map and caches hold references into it).
   return WorldPtr(new World(std::move(init), version));
-}
-
-WorldPtr World::create_prefilled(WorldInit init, std::uint64_t version,
-                                 std::vector<SlotCachePrefill> prefill) {
-  validate_init(init);
-  std::unique_ptr<World> world(new World(std::move(init), version));
-  for (SlotCachePrefill& column : prefill) {
-    if (column.vehicle >= world->caches_.size())
-      throw InvalidArgument(
-          "World::create_prefilled: vehicle index " +
-          std::to_string(column.vehicle) + " outside [0, " +
-          std::to_string(world->caches_.size()) + ")");
-    // Installed before anyone else can see the world — adopt_column
-    // itself validates the slot range and the row count.
-    world->caches_[column.vehicle]->adopt_column(column.slot,
-                                                 std::move(column.entries));
-  }
-  return WorldPtr(world.release());
 }
 
 const ev::ConsumptionModel& World::vehicle(std::size_t index) const {

@@ -27,8 +27,6 @@ static_assert(std::is_trivially_copyable_v<roadnet::Node> &&
               sizeof(roadnet::Node) == 16);
 static_assert(std::is_trivially_copyable_v<roadnet::Edge> &&
               sizeof(roadnet::Edge) == 16);
-static_assert(std::is_trivially_copyable_v<SlotCostCache::Entry> &&
-              sizeof(SlotCostCache::Entry) == 64);
 
 /// kShadingMeta payload.
 struct ShadingMetaRecord {
@@ -63,12 +61,6 @@ struct VehicleRecord {
 };
 static_assert(sizeof(VehicleRecord) == 88);
 inline constexpr std::uint32_t kVehicleQuadratic = 1;
-
-std::uint32_t column_aux(std::size_t vehicle, int slot) {
-  return static_cast<std::uint32_t>(vehicle) *
-             static_cast<std::uint32_t>(TimeOfDay::kSlotsPerDay) +
-         static_cast<std::uint32_t>(slot);
-}
 
 TrafficRecord encode_traffic(const roadnet::TrafficModel& traffic) {
   TrafficRecord rec{};
@@ -151,8 +143,7 @@ std::shared_ptr<const ev::ConsumptionModel> decode_vehicle(
 
 }  // namespace
 
-void save_world_snapshot(const World& world, const std::string& path,
-                         const SaveOptions& options) {
+void save_world_snapshot(const World& world, const std::string& path) {
   snapshot::SnapshotWriter writer(world.version());
 
   const roadnet::RoadGraph::FrozenParts& parts = world.graph().parts();
@@ -190,21 +181,7 @@ void save_world_snapshot(const World& world, const std::string& path,
   writer.add_array(snapshot::kVehicles, 0,
                    std::span<const VehicleRecord>(vehicles));
 
-  if (options.include_slot_cache) {
-    for (std::size_t v = 0; v < world.vehicle_count(); ++v) {
-      for (int slot = 0; slot < TimeOfDay::kSlotsPerDay; ++slot) {
-        const std::span<const SlotCostCache::Entry> column =
-            world.slot_cache(v).column_view(slot);
-        if (!column.empty())
-          writer.add_array(snapshot::kSlotCacheColumn, column_aux(v, slot),
-                           column);
-      }
-    }
-  }
-
-  snapshot::WriteOptions write_options;
-  write_options.durable = options.durable;
-  writer.write_file(path, write_options);
+  writer.write_file(path);
 }
 
 WorldPtr load_world_snapshot(const std::string& path) {
@@ -252,30 +229,8 @@ WorldPtr load_world_snapshot(const std::string& path) {
                           ": section vehicles is empty");
     for (const VehicleRecord& rec : vehicles)
       init.vehicles.push_back(decode_vehicle(rec, path));
-    const std::size_t vehicle_count = init.vehicles.size();
 
-    std::vector<SlotCachePrefill> prefill;
-    for (std::size_t i = 0; i < reader.section_count(); ++i) {
-      const snapshot::SectionEntry& entry = reader.entry(i);
-      if (entry.id != snapshot::kSlotCacheColumn) continue;
-      SlotCachePrefill column;
-      column.vehicle =
-          entry.aux / static_cast<std::uint32_t>(TimeOfDay::kSlotsPerDay);
-      column.slot = static_cast<int>(
-          entry.aux % static_cast<std::uint32_t>(TimeOfDay::kSlotsPerDay));
-      if (column.vehicle >= vehicle_count)
-        throw SnapshotError(
-            "snapshot: " + path + ": section slot_cache_column (aux " +
-            std::to_string(entry.aux) + ") names vehicle " +
-            std::to_string(column.vehicle) + " of " +
-            std::to_string(vehicle_count));
-      column.entries = reader.array<SlotCostCache::Entry>(
-          snapshot::kSlotCacheColumn, entry.aux);
-      prefill.push_back(std::move(column));
-    }
-
-    return World::create_prefilled(std::move(init), reader.world_version(),
-                                   std::move(prefill));
+    return World::create(std::move(init), reader.world_version());
   } catch (const SnapshotError&) {
     throw;
   } catch (const Error& e) {

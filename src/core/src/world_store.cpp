@@ -71,24 +71,17 @@ WorldPtr WorldStore::publish(WorldInit next) {
   const std::uint64_t version = next_version_;
   WorldPtr world = World::create(std::move(next), version);
   if (journal_enabled_) {
-    // Persist before the swap: a durable publish that cannot reach
-    // disk must not become visible (and must not consume the version
-    // number — the retry gets the same one). Non-durable journaling
-    // degrades to best-effort.
+    // Persist before the swap: a publish that cannot reach disk must
+    // not become visible (and must not consume the version number —
+    // the retry gets the same one).
     try {
       persist_locked(world);
     } catch (const Error& e) {
       ++journal_persist_failures_;
       obs::Registry::global().counter("journal.persist_failures").add();
-      if (journal_.durable) {
-        SUNCHASE_LOG(Error)
-            << "worldstore: durable publish of version " << version
-            << " aborted: " << e.what();
-        throw;
-      }
-      SUNCHASE_LOG(Warning) << "worldstore: journal persist of version "
-                         << version << " failed (continuing, non-durable): "
-                         << e.what();
+      SUNCHASE_LOG(Error) << "worldstore: publish of version " << version
+                          << " aborted: " << e.what();
+      throw;
     }
   }
   next_version_ = version + 1;
@@ -101,45 +94,40 @@ WorldPtr WorldStore::publish(WorldInit next) {
   return world;
 }
 
-void WorldStore::enable_journal(JournalOptions options) {
+void WorldStore::enable_journal(std::string directory) {
   namespace fs = std::filesystem;
   std::lock_guard<std::mutex> lock(publish_mutex_);
   std::error_code ec;
-  fs::create_directories(options.directory, ec);
+  fs::create_directories(directory, ec);
   if (ec)
-    throw SnapshotError("journal: cannot create directory '" +
-                        options.directory + "': " + ec.message());
-  journal_ = std::move(options);
+    throw SnapshotError("journal: cannot create directory '" + directory +
+                        "': " + ec.message());
+  journal_directory_ = std::move(directory);
   journal_enabled_ = true;
   const WorldPtr world = current();
   const fs::path existing =
-      fs::path(journal_.directory) / snapshot_file_name(world->version());
+      fs::path(journal_directory_) / snapshot_file_name(world->version());
   if (fs::exists(existing, ec)) {
     // Adopted from load_latest(): the snapshot we just mapped is the
     // journal tail; rewriting it would race our own mapping.
     journal_persisted_version_ = world->version();
-    SUNCHASE_LOG(Info) << "worldstore: journaling to " << journal_.directory
+    SUNCHASE_LOG(Info) << "worldstore: journaling to " << journal_directory_
                        << " (version " << world->version()
                        << " already on disk)";
     return;
   }
   persist_locked(world);
-  SUNCHASE_LOG(Info) << "worldstore: journaling to " << journal_.directory
+  SUNCHASE_LOG(Info) << "worldstore: journaling to " << journal_directory_
                      << " (persisted version " << world->version() << ")";
 }
 
 void WorldStore::persist_locked(const WorldPtr& world) {
   const std::string file = snapshot_file_name(world->version());
-  const std::string path = journal_.directory + "/" + file;
-  SaveOptions options;
-  options.include_slot_cache = journal_.include_slot_cache;
-  options.durable = journal_.durable;
-  save_world_snapshot(*world, path, options);
+  save_world_snapshot(*world, journal_directory_ + "/" + file);
   const std::string manifest = file + "\n";
   snapshot::atomic_write_file(
-      journal_.directory + "/MANIFEST",
-      std::as_bytes(std::span<const char>(manifest.data(), manifest.size())),
-      journal_.durable);
+      journal_directory_ + "/MANIFEST",
+      std::as_bytes(std::span<const char>(manifest.data(), manifest.size())));
   journal_persisted_version_ = world->version();
   obs::Registry::global().counter("journal.persists").add();
   obs::Registry::global().gauge("journal.persisted_version").set(
@@ -152,13 +140,11 @@ JournalState WorldStore::journal_state() const {
   std::lock_guard<std::mutex> lock(publish_mutex_);
   state.enabled = journal_enabled_;
   if (!journal_enabled_) return state;
-  state.directory = journal_.directory;
-  state.durable = journal_.durable;
-  state.include_slot_cache = journal_.include_slot_cache;
+  state.directory = journal_directory_;
   state.persisted_version = journal_persisted_version_;
   state.persist_failures = journal_persist_failures_;
   std::error_code ec;
-  for (const auto& entry : fs::directory_iterator(journal_.directory, ec))
+  for (const auto& entry : fs::directory_iterator(journal_directory_, ec))
     if (version_of_file_name(entry.path().filename().string()) != 0)
       ++state.snapshots_on_disk;
   return state;

@@ -3,32 +3,11 @@
 #include <cstdio>
 #include <sstream>
 
+#include "sunchase/common/json_text.h"
+
 namespace sunchase::exporter {
 
 namespace {
-
-/// Escapes the few JSON-hostile characters that can appear in
-/// user-supplied property strings.
-std::string escape(const std::string& text) {
-  std::string out;
-  out.reserve(text.size());
-  for (const char c : text) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      default:
-        out += c;
-    }
-  }
-  return out;
-}
 
 std::string coord(geo::LatLon p) {
   char buf[64];
@@ -44,7 +23,7 @@ std::string properties_json(const Properties& properties) {
   for (const auto& [key, value] : properties) {
     if (!first) out << ',';
     first = false;
-    out << '"' << escape(key) << "\":\"" << escape(value) << '"';
+    out << common::json_quote(key) << ':' << common::json_quote(value);
   }
   out << '}';
   return out.str();

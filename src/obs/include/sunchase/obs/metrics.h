@@ -189,8 +189,6 @@ struct MetricsSnapshot {
   std::map<std::string, std::uint64_t> counters;
   std::map<std::string, double> gauges;
   std::map<std::string, HistogramSnapshot> histograms;
-  /// Family name -> HELP text (Registry::describe).
-  std::map<std::string, std::string> help;
 
   /// Pretty-printed JSON object ({"counters": {...}, "gauges": {...},
   /// "histograms": {...}}); every line is prefixed with `indent` spaces
@@ -198,9 +196,9 @@ struct MetricsSnapshot {
   [[nodiscard]] std::string to_json(int indent = 0) const;
 
   /// Prometheus text exposition format ('.' in names becomes '_').
-  /// Series are grouped by family so # HELP / # TYPE render exactly
-  /// once per family; labeled histograms merge the `le` bucket label
-  /// into the user label set.
+  /// Series are grouped by family so # TYPE renders exactly once per
+  /// family; labeled histograms merge the `le` bucket label into the
+  /// user label set.
   [[nodiscard]] std::string to_prometheus() const;
 };
 
@@ -245,9 +243,6 @@ class Registry {
                                         std::vector<double> bounds,
                                         double window_seconds = 60.0);
 
-  /// Attaches a # HELP text to a family (shown on /metrics).
-  void describe(const std::string& name, const std::string& text);
-
   [[nodiscard]] MetricsSnapshot snapshot() const;
 
   /// Zeroes every value; handles stay valid. For tests and benches that
@@ -274,7 +269,6 @@ class Registry {
   std::map<std::string, double> window_seconds_;
   std::map<std::string, char> kinds_;         ///< family -> kind
   std::map<std::string, std::size_t> series_; ///< family -> series count
-  std::map<std::string, std::string> help_;   ///< family -> HELP text
   /// family -> bucket boundaries; every series of a histogram family
   /// must share them so _bucket rows line up across label sets.
   std::map<std::string, std::vector<double>> histogram_bounds_;

@@ -6,8 +6,12 @@
 #include <sstream>
 
 #include "sunchase/common/error.h"
+#include "sunchase/common/json_text.h"
 
 namespace sunchase::obs {
+
+using common::format_double;
+using common::json_escape;
 
 namespace {
 
@@ -60,24 +64,6 @@ std::string escape_label_value(const std::string& value) {
   return out;
 }
 
-/// JSON string escaping for snapshot keys (which may embed quoted label
-/// values) and HELP texts.
-std::string json_escape(const std::string& text) {
-  std::string out;
-  out.reserve(text.size());
-  for (const char c : text) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default: out += c;
-    }
-  }
-  return out;
-}
-
 /// Splits a series key back into {family, label block incl. braces}.
 std::pair<std::string, std::string> split_series_key(const std::string& key) {
   const std::size_t brace = key.find('{');
@@ -90,14 +76,6 @@ std::pair<std::string, std::string> split_series_key(const std::string& key) {
 std::string bucket_labels(const std::string& labels, const std::string& le) {
   if (labels.empty()) return "{le=\"" + le + "\"}";
   return labels.substr(0, labels.size() - 1) + ",le=\"" + le + "\"}";
-}
-
-/// Shortest round-trippable rendering without trailing-zero noise.
-std::string format_double(double v) {
-  std::ostringstream out;
-  out.precision(12);
-  out << v;
-  return out.str();
 }
 
 }  // namespace
@@ -347,16 +325,10 @@ std::string MetricsSnapshot::to_prometheus() const {
   // Group series under their family first: map ordering interleaves
   // families otherwise (`name2` sorts before `name{...}`), and the
   // exposition format requires all of a family's series — and its one
-  // # HELP / # TYPE pair — to be contiguous.
-  const auto emit_header = [this](std::ostringstream& out,
-                                  const std::string& family,
-                                  const char* type) {
-    const std::string p = prometheus_name(family);
-    const auto doc = help.find(family);
-    if (doc != help.end())
-      out << "# HELP " << p << " " << escape_label_value(doc->second)
-          << "\n";
-    out << "# TYPE " << p << " " << type << "\n";
+  // # TYPE line — to be contiguous.
+  const auto emit_header = [](std::ostringstream& out,
+                              const std::string& family, const char* type) {
+    out << "# TYPE " << prometheus_name(family) << " " << type << "\n";
   };
 
   std::ostringstream out;
@@ -542,11 +514,6 @@ WindowedHistogram& Registry::windowed_histogram(const std::string& name,
   return *slot;
 }
 
-void Registry::describe(const std::string& name, const std::string& text) {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  help_[name] = text;
-}
-
 MetricsSnapshot Registry::snapshot() const {
   const std::lock_guard<std::mutex> lock(mutex_);
   MetricsSnapshot snap;
@@ -559,7 +526,6 @@ MetricsSnapshot Registry::snapshot() const {
     const auto [family, labels] = split_series_key(key);
     snap.histograms[family + ".window" + labels] = w->window_snapshot();
   }
-  snap.help = help_;
   return snap;
 }
 

@@ -7,25 +7,13 @@
 #include <sstream>
 #include <utility>
 
+#include "sunchase/common/json_text.h"
+
 namespace sunchase::obs {
 
-namespace {
+using common::json_escape;
 
-/// Span names are programmer-chosen literals, but the JSON export
-/// escapes them anyway so a stray quote can never corrupt the document.
-std::string json_escape(const std::string& text) {
-  std::string out;
-  out.reserve(text.size());
-  for (const char c : text) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      default: out += c;
-    }
-  }
-  return out;
-}
+namespace {
 
 /// Thread-exit hook: hands the thread's stack back to the profiler's
 /// free list so pool churn recycles a bounded set.

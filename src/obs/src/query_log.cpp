@@ -4,60 +4,24 @@
 #include <sstream>
 
 #include "sunchase/common/error.h"
+#include "sunchase/common/json_text.h"
 #include "sunchase/common/logging.h"
 
 namespace sunchase::obs {
 
-namespace {
-
-/// Shortest round-trippable rendering without trailing-zero noise.
-std::string format_double(double v) {
-  std::ostringstream out;
-  out.precision(12);
-  out << v;
-  return out.str();
-}
-
-/// Escapes the JSON-hostile characters an exception message can carry.
-std::string escape(const std::string& text) {
-  std::string out;
-  out.reserve(text.size());
-  for (const char c : text) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      default:
-        out += c;
-    }
-  }
-  return out;
-}
-
-}  // namespace
+using common::format_double;
+using common::json_quote;
 
 std::string QueryRecord::to_json() const {
   std::ostringstream out;
-  out << "{\"mode\":\"" << escape(mode) << "\"";
+  out << "{\"mode\":" << json_quote(mode);
   if (index >= 0) out << ",\"index\":" << index;
   out << ",\"origin\":" << origin << ",\"destination\":" << destination
-      << ",\"departure\":\"" << escape(departure) << "\",\"pricing\":\""
-      << escape(pricing) << "\",\"status\":\"" << escape(status) << "\"";
+      << ",\"departure\":" << json_quote(departure) << ",\"pricing\":"
+      << json_quote(pricing) << ",\"status\":" << json_quote(status);
   if (world_version >= 0) out << ",\"world.version\":" << world_version;
-  if (!trace_id.empty()) out << ",\"trace_id\":\"" << escape(trace_id) << "\"";
-  if (status != "ok") out << ",\"error\":\"" << escape(error) << "\"";
+  if (!trace_id.empty()) out << ",\"trace_id\":" << json_quote(trace_id);
+  if (status != "ok") out << ",\"error\":" << json_quote(error);
   out << ",\"mlc_seconds\":" << format_double(mlc_seconds)
       << ",\"kmeans_seconds\":" << format_double(kmeans_seconds)
       << ",\"selection_seconds\":" << format_double(selection_seconds)
@@ -95,8 +59,8 @@ QueryLog::QueryLog(std::ostream& sink)
 std::vector<std::string> QueryLog::tail(std::size_t n) const {
   const std::lock_guard<std::mutex> lock(mutex_);
   const std::size_t count = std::min(n, tail_.size());
-  return std::vector<std::string>(tail_.end() - static_cast<std::ptrdiff_t>(count),
-                                  tail_.end());
+  return std::vector<std::string>(
+      tail_.end() - static_cast<std::ptrdiff_t>(count), tail_.end());
 }
 
 void QueryLog::write(const QueryRecord& record) {

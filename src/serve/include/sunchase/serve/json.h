@@ -13,6 +13,8 @@
 #include <utility>
 #include <vector>
 
+#include "sunchase/common/json_text.h"
+
 namespace sunchase::serve {
 
 class JsonValue {
@@ -84,12 +86,9 @@ class JsonValue {
   friend class JsonParser;
 };
 
-/// `text` with JSON string escaping applied (quotes not included):
-/// backslash, quote, control characters as \uXXXX or short escapes.
-[[nodiscard]] std::string json_escape(std::string_view text);
-
-/// `text` escaped and wrapped in double quotes — the building block the
-/// server's hand-written response bodies use.
-[[nodiscard]] std::string json_quote(std::string_view text);
+/// The building blocks the server's hand-written response bodies use
+/// (see common/json_text.h).
+using common::json_escape;
+using common::json_quote;
 
 }  // namespace sunchase::serve

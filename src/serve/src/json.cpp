@@ -1,7 +1,6 @@
 #include "sunchase/serve/json.h"
 
 #include <cctype>
-#include <cstdio>
 #include <cstdlib>
 #include <utility>
 
@@ -307,36 +306,6 @@ JsonValue JsonValue::make_string(std::string s) {
   v.type_ = Type::String;
   v.string_ = std::move(s);
   return v;
-}
-
-std::string json_escape(std::string_view text) {
-  std::string out;
-  out.reserve(text.size());
-  for (const char c : text) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\b': out += "\\b"; break;
-      case '\f': out += "\\f"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
-std::string json_quote(std::string_view text) {
-  return '"' + json_escape(text) + '"';
 }
 
 }  // namespace sunchase::serve

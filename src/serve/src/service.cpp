@@ -31,10 +31,6 @@ std::string num(double v) {
   return buf;
 }
 
-obs::Counter& counter(const char* name) {
-  return obs::Registry::global().counter(name);
-}
-
 /// The JSON number `value` as a T in [lo, hi]; InvalidArgument naming
 /// `field` unless it is integral and in range. Casting a double outside
 /// T's range is undefined behaviour, so nothing else may reach the cast.
@@ -212,7 +208,6 @@ HttpResponse RouteService::handle(const HttpRequest& request) {
     } catch (const IoError& e) {
       return error_response(400, e.what());
     } catch (const std::exception& e) {
-      counter("serve.errors").add();
       return error_response(500, e.what());
     }
   }();
@@ -370,7 +365,6 @@ HttpResponse RouteService::handle_plan(const HttpRequest& request) {
   const std::uint64_t query_id =
       record_answer(world, query, popts.mlc, plan.recommended(),
                     plan.search_stats, plan.cpu_seconds);
-  counter("serve.plans").add();
 
   std::string out = "{";
   out += "\"query_id\":" + std::to_string(query_id);
@@ -438,7 +432,6 @@ HttpResponse RouteService::handle_batch(const HttpRequest& request) {
   // without tearing any single query.
   const core::BatchPlanner planner(store_, bopts);
   core::BatchResult result = planner.plan_all(queries);
-  counter("serve.batches").add();
 
   std::string rows = "[";
   std::uint64_t version_min = 0;
@@ -506,7 +499,6 @@ HttpResponse RouteService::handle_explain(std::uint64_t query_id) {
   const core::RouteExplainer explainer(entry->world, entry->vehicle);
   const core::RouteLedger route_ledger = explainer.explain(
       entry->route, entry->departure, entry->time_dependent, entry->pricing);
-  counter("serve.explains").add();
 
   std::string out = "{";
   out += "\"query_id\":" + std::to_string(query_id);
@@ -583,7 +575,6 @@ HttpResponse RouteService::handle_publish(const HttpRequest& request) {
     coverage = crowd.coverage();
     published = crowd::publish_crowd_world(store_, crowd);
   }
-  counter("serve.publishes").add();
 
   std::string out = "{";
   out += "\"world_version\":" + std::to_string(published->version());
@@ -617,7 +608,6 @@ HttpResponse RouteService::handle_healthz() {
 }
 
 HttpResponse RouteService::handle_debug_profile(const std::string& target) {
-  counter("serve.debug_requests").add();
   const std::optional<std::string> format = query_param(target, "format");
   if (format.has_value() && *format != "json" && *format != "collapsed")
     return error_response(400, "format must be \"json\" or \"collapsed\"");
@@ -645,13 +635,11 @@ HttpResponse RouteService::handle_debug_trace(const std::string& target) {
   // document's "now_us" and passes it back as ?since= next time to see
   // only spans that ended in between.
   const std::uint64_t since = uint_param(target, "since", 0);
-  counter("serve.debug_requests").add();
   return json_response(200, obs::Tracer::global().to_chrome_json(since));
 }
 
 HttpResponse RouteService::handle_debug_queries(const std::string& target) {
   const std::uint64_t n = uint_param(target, "n", 32);
-  counter("serve.debug_requests").add();
   std::string out = "{";
   if (options_.query_log == nullptr) {
     out += "\"enabled\":false,\"count\":0,\"queries\":[]}";
@@ -674,7 +662,6 @@ HttpResponse RouteService::handle_debug_queries(const std::string& target) {
 }
 
 HttpResponse RouteService::handle_debug_worlds() {
-  counter("serve.debug_requests").add();
   const core::WorldPtr current = store_.current();
   std::string out = "{";
   out += "\"current_version\":" + std::to_string(current->version());
@@ -702,10 +689,6 @@ HttpResponse RouteService::handle_debug_worlds() {
   out += journal.enabled ? "true" : "false";
   if (journal.enabled) {
     out += ",\"directory\":" + json_quote(journal.directory);
-    out += ",\"durable\":";
-    out += journal.durable ? "true" : "false";
-    out += ",\"include_slot_cache\":";
-    out += journal.include_slot_cache ? "true" : "false";
     out += ",\"persisted_version\":" +
            std::to_string(journal.persisted_version);
     out += ",\"persist_failures\":" +

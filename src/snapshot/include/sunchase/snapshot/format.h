@@ -35,7 +35,7 @@ inline constexpr std::uint32_t kFormatVersion = 1;
 /// different native order sees 0x04030201 and rejects the file.
 inline constexpr std::uint32_t kEndianTag = 0x01020304u;
 /// Payload alignment: enough for any element type we store (doubles,
-/// 64-byte SlotCostCache entries) and a cache line.
+/// 16-byte graph rows) and a cache line.
 inline constexpr std::size_t kSectionAlignment = 64;
 
 /// Fixed-size file header at offset 0.
@@ -57,7 +57,7 @@ static_assert(sizeof(FileHeader) == 64, "snapshot header is 64 bytes");
 /// One row of the section table at offset 64.
 struct SectionEntry {
   std::uint32_t id;      ///< a SectionId
-  std::uint32_t aux;     ///< section-specific (e.g. vehicle*96+slot)
+  std::uint32_t aux;     ///< section-specific; 0 in every section written
   std::uint64_t offset;  ///< absolute file offset, kSectionAlignment-aligned
   std::uint64_t bytes;   ///< payload size
   std::uint32_t crc;     ///< CRC of the payload bytes
@@ -80,8 +80,12 @@ enum SectionId : std::uint32_t {
   kTraffic = 9,           ///< one TrafficRecord
   kPanel = 10,            ///< double[kSlotsPerDay], watts at slot starts
   kVehicles = 11,         ///< VehicleRecord[]
-  kSlotCacheColumn = 12,  ///< SlotCostCache::Entry[edge_count];
-                          ///< aux = vehicle * 96 + slot
+  /// Reserved: earlier writers stored materialized SlotCostCache
+  /// columns here (aux = vehicle * 96 + slot). A column is derived
+  /// data that the loaded world recomputes bit for bit on first touch,
+  /// so nothing writes it and the loader ignores it; the id stays taken
+  /// so `inspect` still names it in files that carry it.
+  kSlotCacheColumn = 12,
 };
 
 /// Human-readable section name for error messages and `inspect`.

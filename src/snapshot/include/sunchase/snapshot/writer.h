@@ -16,13 +16,6 @@
 
 namespace sunchase::snapshot {
 
-struct WriteOptions {
-  /// fsync the file before rename and the directory after; turning it
-  /// off keeps the same tmp+rename atomicity but lets the OS schedule
-  /// the flush (faster, survives process crash but not power loss).
-  bool durable = true;
-};
-
 class SnapshotWriter {
  public:
   explicit SnapshotWriter(std::uint64_t world_version)
@@ -41,10 +34,10 @@ class SnapshotWriter {
     add_section(id, aux, std::as_bytes(values));
   }
 
-  /// Writes the snapshot to `path` atomically. Throws SnapshotError
-  /// naming the path on any I/O failure (the tmp file is removed).
-  void write_file(const std::string& path,
-                  const WriteOptions& options = {}) const;
+  /// Writes the snapshot to `path` atomically and durably. Throws
+  /// SnapshotError naming the path on any I/O failure (the tmp file is
+  /// removed).
+  void write_file(const std::string& path) const;
 
   [[nodiscard]] std::size_t section_count() const noexcept {
     return sections_.size();
@@ -60,9 +53,10 @@ class SnapshotWriter {
   std::vector<Pending> sections_;
 };
 
-/// Atomic small-file write (tmp + rename + optional fsync) for
-/// sidecar files like a journal MANIFEST. Throws SnapshotError.
+/// Atomic, durable small-file write (tmp, fsync, rename, directory
+/// fsync) for sidecar files like a journal MANIFEST. Throws
+/// SnapshotError.
 void atomic_write_file(const std::string& path,
-                       std::span<const std::byte> bytes, bool durable);
+                       std::span<const std::byte> bytes);
 
 }  // namespace sunchase::snapshot

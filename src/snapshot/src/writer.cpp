@@ -81,21 +81,22 @@ void fsync_directory_of(const std::string& path) {
   if (rc != 0) fail_errno(dir, "directory fsync failed");
 }
 
-/// Shared tmp+rename body: `emit` writes the payload to the open fd.
+/// Shared tmp+fsync+rename body: `emit` writes the payload to the open
+/// fd.
 template <typename EmitFn>
-void write_atomically(const std::string& path, bool durable, EmitFn emit) {
+void write_atomically(const std::string& path, EmitFn emit) {
   const std::string tmp = path + ".tmp";
   const int fd =
       ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0644);
   if (fd < 0) fail_errno(tmp, "cannot create");
   TmpFile guard(tmp, fd);
   emit(fd, tmp);
-  if (durable && ::fsync(fd) != 0) fail_errno(tmp, "fsync failed");
+  if (::fsync(fd) != 0) fail_errno(tmp, "fsync failed");
   guard.close_fd();
   if (::rename(tmp.c_str(), path.c_str()) != 0)
     fail_errno(path, "rename failed");
   guard.release();
-  if (durable) fsync_directory_of(path);
+  fsync_directory_of(path);
 }
 
 }  // namespace
@@ -110,8 +111,7 @@ void SnapshotWriter::add_section(std::uint32_t id, std::uint32_t aux,
   sections_.push_back(Pending{id, aux, payload});
 }
 
-void SnapshotWriter::write_file(const std::string& path,
-                                const WriteOptions& options) const {
+void SnapshotWriter::write_file(const std::string& path) const {
   // Layout: header, table, then payloads each aligned up.
   std::vector<SectionEntry> table(sections_.size());
   std::uint64_t offset =
@@ -140,7 +140,7 @@ void SnapshotWriter::write_file(const std::string& path,
   header.header_crc = 0;
   header.header_crc = crc32(struct_bytes(&header, sizeof(header)));
 
-  write_atomically(path, options.durable, [&](int fd, const std::string& tmp) {
+  write_atomically(path, [&](int fd, const std::string& tmp) {
     write_all(fd, tmp, struct_bytes(&header, sizeof(header)));
     write_all(fd, tmp,
               struct_bytes(table.data(), sizeof(SectionEntry) * table.size()));
@@ -157,8 +157,8 @@ void SnapshotWriter::write_file(const std::string& path,
 }
 
 void atomic_write_file(const std::string& path,
-                       std::span<const std::byte> bytes, bool durable) {
-  write_atomically(path, durable, [&](int fd, const std::string& tmp) {
+                       std::span<const std::byte> bytes) {
+  write_atomically(path, [&](int fd, const std::string& tmp) {
     write_all(fd, tmp, bytes);
   });
 }

@@ -1,7 +1,8 @@
 // World snapshot codec: a saved world mmap-loaded in a fresh reader
 // must be indistinguishable from the world that was saved — same plan
-// results bit for bit under both pricing modes, warm cache columns
-// riding along zero-copy, and the mmap-backed world surviving the same
+// results bit for bit under both pricing modes, slot-cache columns
+// refilled on first touch rather than read from the file, damaged
+// files rejected, and the mmap-backed world surviving the same
 // concurrent batch + publish contract as a heap-built one (the
 // SnapshotCodec suites run under the CI ThreadSanitizer job).
 #include "sunchase/core/world_codec.h"
@@ -9,10 +10,13 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <fstream>
 #include <future>
+#include <iterator>
 #include <memory>
+#include <random>
 #include <string>
 #include <utility>
 #include <vector>
@@ -23,6 +27,9 @@
 #include "sunchase/core/world.h"
 #include "sunchase/core/world_store.h"
 #include "sunchase/roadnet/citygen.h"
+#include "sunchase/snapshot/format.h"
+#include "sunchase/snapshot/reader.h"
+#include "sunchase/snapshot/writer.h"
 
 namespace sunchase::core {
 namespace {
@@ -48,14 +55,15 @@ std::vector<BatchQuery> city_queries() {
 
 /// Flattened (costs, path edges) of every successful query, for
 /// bit-exact comparison across save/load.
-std::vector<double> fingerprint(const WorldPtr& world, PricingMode pricing,
-                                std::size_t workers = 2) {
+std::vector<double> fingerprint(
+    const WorldPtr& world, PricingMode pricing,
+    const std::vector<BatchQuery>& queries = city_queries()) {
   BatchPlannerOptions opt;
-  opt.workers = workers;
+  opt.workers = 2;
   opt.mlc.max_time_factor = 1.4;
   opt.mlc.pricing = pricing;
   const BatchPlanner planner(world, opt);
-  const BatchResult batch = planner.plan_all(city_queries());
+  const BatchResult batch = planner.plan_all(queries);
   std::vector<double> fp;
   for (const BatchQueryResult& q : batch.queries) {
     if (!q.ok()) continue;
@@ -98,34 +106,123 @@ TEST(SnapshotCodec, PlanResultsAreBitIdenticalInBothPricingModes) {
             fingerprint(original, PricingMode::SlotQuantized));
 }
 
-TEST(SnapshotCodec, WarmSlotCacheColumnsRideAlong) {
+TEST(SnapshotCodec, LoadedWorldRefillsColumnsBitIdentically) {
   const WorldPtr original = city_world();
-  // Slot pricing materializes cache columns; the snapshot carries them.
   const std::vector<double> warm =
       fingerprint(original, PricingMode::SlotQuantized);
   ASSERT_GT(original->slot_cache().filled_slots(), 0u);
 
-  const std::string path = temp_path("codec_warm.scsnap");
-  save_world_snapshot(*original, path);
-  const WorldPtr loaded = load_world_snapshot(path);
-  EXPECT_EQ(loaded->slot_cache().filled_slots(),
-            original->slot_cache().filled_slots());
-  EXPECT_EQ(fingerprint(loaded, PricingMode::SlotQuantized), warm);
-}
-
-TEST(SnapshotCodec, ColdSaveRefillsColumnsBitIdentically) {
-  const WorldPtr original = city_world();
-  const std::vector<double> warm =
-      fingerprint(original, PricingMode::SlotQuantized);
-
-  SaveOptions options;
-  options.include_slot_cache = false;
   const std::string path = temp_path("codec_cold.scsnap");
-  save_world_snapshot(*original, path, options);
+  save_world_snapshot(*original, path);
   const WorldPtr loaded = load_world_snapshot(path);
   EXPECT_EQ(loaded->slot_cache().filled_slots(), 0u);
   // Lazy refill on the loaded world reproduces the same columns.
   EXPECT_EQ(fingerprint(loaded, PricingMode::SlotQuantized), warm);
+}
+
+TEST(SnapshotCodec, ColumnSectionsAreIgnoredOnLoad) {
+  const WorldPtr original = city_world();
+  const std::string saved = temp_path("codec_columns_saved.scsnap");
+  save_world_snapshot(*original, saved);
+
+  // The saved world's sections plus a slot_cache_column section for
+  // every slot, as earlier writers stored them (64-byte rows, aux =
+  // vehicle * 96 + slot), with every row zeroed. A loader that
+  // trusted the columns would plan every slot-priced trip on free,
+  // instant edges.
+  constexpr std::size_t kColumnRowBytes = 64;
+  const std::vector<std::byte> zeros(original->graph().edge_count() *
+                                     kColumnRowBytes);
+  const std::string path = temp_path("codec_columns.scsnap");
+  {
+    const snapshot::SnapshotReader reader =
+        snapshot::SnapshotReader::open(saved);
+    snapshot::SnapshotWriter writer(reader.world_version());
+    for (std::size_t i = 0; i < reader.section_count(); ++i) {
+      const snapshot::SectionEntry& entry = reader.entry(i);
+      writer.add_section(entry.id, entry.aux,
+                         reader.bytes(entry.id, entry.aux));
+    }
+    for (int slot = 0; slot < TimeOfDay::kSlotsPerDay; ++slot)
+      writer.add_section(snapshot::kSlotCacheColumn,
+                         static_cast<std::uint32_t>(slot), zeros);
+    writer.write_file(path);
+  }
+
+  const WorldPtr loaded = load_world_snapshot(path);
+  EXPECT_EQ(loaded->slot_cache().filled_slots(), 0u);
+  EXPECT_EQ(fingerprint(loaded, PricingMode::Exact),
+            fingerprint(original, PricingMode::Exact));
+  EXPECT_EQ(fingerprint(loaded, PricingMode::SlotQuantized),
+            fingerprint(original, PricingMode::SlotQuantized));
+}
+
+TEST(SnapshotCodec, FlippedOrTruncatedFilesFailToLoadOrPlanIdentically) {
+  roadnet::GridCityOptions city_options;
+  city_options.rows = 6;
+  city_options.cols = 6;
+  const roadnet::GridCity city{city_options};
+  const WorldPtr original =
+      World::create(test::RoutingEnv::make_init(city.graph()));
+  const std::string source = temp_path("codec_mutation_source.scsnap");
+  save_world_snapshot(*original, source);
+  std::vector<char> bytes;
+  {
+    std::ifstream in(source, std::ios::binary);
+    bytes.assign(std::istreambuf_iterator<char>(in),
+                 std::istreambuf_iterator<char>());
+  }
+  ASSERT_FALSE(bytes.empty());
+  const auto last = static_cast<roadnet::NodeId>(city.graph().node_count() - 1);
+  const std::vector<BatchQuery> trips = {{0, last, TimeOfDay::hms(9, 10)},
+                                         {0, last, TimeOfDay::hms(15, 40)}};
+  const std::vector<double> exact =
+      fingerprint(original, PricingMode::Exact, trips);
+  const std::vector<double> slot =
+      fingerprint(original, PricingMode::SlotQuantized, trips);
+
+  // Each mutant either throws SnapshotError or, when the damage missed
+  // every checksummed byte (padding between sections), plans exactly
+  // like the original. Any other exception fails the test. Returns
+  // whether the load was rejected.
+  const std::string path = temp_path("codec_mutant.scsnap");
+  auto rejected = [&](const std::vector<char>& data,
+                      const std::string& what) {
+    {
+      std::ofstream out(path, std::ios::binary | std::ios::trunc);
+      out.write(data.data(), static_cast<std::streamsize>(data.size()));
+    }
+    WorldPtr loaded;
+    try {
+      loaded = load_world_snapshot(path);
+    } catch (const SnapshotError&) {
+      return true;
+    }
+    EXPECT_EQ(fingerprint(loaded, PricingMode::Exact, trips), exact) << what;
+    EXPECT_EQ(fingerprint(loaded, PricingMode::SlotQuantized, trips), slot)
+        << what;
+    return false;
+  };
+
+  std::mt19937_64 rng(20170605);
+  int rejected_flips = 0;
+  for (int i = 0; i < 256; ++i) {
+    std::vector<char> data = bytes;
+    const std::size_t bit = rng() % (data.size() * 8);
+    data[bit / 8] = static_cast<char>(data[bit / 8] ^ (1 << (bit % 8)));
+    if (rejected(data, "bit " + std::to_string(bit) + " flipped"))
+      ++rejected_flips;
+  }
+  EXPECT_GT(rejected_flips, 0);
+  // The header records the file size, so no truncation can load.
+  for (int i = 0; i < 50; ++i) {
+    const std::size_t keep = rng() % bytes.size();
+    EXPECT_TRUE(rejected(
+        std::vector<char>(bytes.begin(),
+                          bytes.begin() + static_cast<std::ptrdiff_t>(keep)),
+        "truncated to " + std::to_string(keep) + " bytes"))
+        << keep;
+  }
 }
 
 TEST(SnapshotCodec, UnserializableTrafficModelFailsToSave) {

@@ -1,4 +1,4 @@
-// The WorldStore journal: durable publishes append world-<v>.scsnap
+// The WorldStore journal: publishes durably append world-<v>.scsnap
 // files and repoint MANIFEST atomically; boot-time load_latest()
 // restores the newest intact version and walks past torn or corrupt
 // tails instead of aborting. These suites run under the CI
@@ -52,7 +52,7 @@ void truncate_file(const std::string& path, std::uintmax_t keep) {
 TEST(WorldJournal, PublishAppendsSnapshotsAndRepointsManifest) {
   const std::string dir = fresh_dir("journal_publish");
   WorldStore store(city_init());
-  store.enable_journal(JournalOptions{dir});
+  store.enable_journal(dir);
 
   EXPECT_TRUE(fs::exists(dir + "/world-1.scsnap"));
   EXPECT_EQ(manifest_of(dir), "world-1.scsnap");
@@ -75,7 +75,7 @@ TEST(WorldJournal, LoadLatestRestoresTheNewestVersion) {
   const std::string dir = fresh_dir("journal_restore");
   {
     WorldStore store(city_init());
-    store.enable_journal(JournalOptions{dir});
+    store.enable_journal(dir);
     (void)store.publish(store.current()->recipe());
   }
   const LoadLatestResult latest = WorldStore::load_latest(dir);
@@ -87,7 +87,7 @@ TEST(WorldJournal, LoadLatestRestoresTheNewestVersion) {
   // A store adopted from the restored world continues the version
   // sequence without rewriting the snapshot it booted from.
   WorldStore revived(latest.world);
-  revived.enable_journal(JournalOptions{dir});
+  revived.enable_journal(dir);
   (void)revived.publish(revived.current()->recipe());
   EXPECT_EQ(revived.version(), 3u);
   EXPECT_TRUE(fs::exists(dir + "/world-3.scsnap"));
@@ -98,7 +98,7 @@ TEST(WorldJournal, TornTailFallsBackToTheNewestIntactVersion) {
   const std::string dir = fresh_dir("journal_torn");
   {
     WorldStore store(city_init());
-    store.enable_journal(JournalOptions{dir});
+    store.enable_journal(dir);
     (void)store.publish(store.current()->recipe());
     (void)store.publish(store.current()->recipe());
   }
@@ -118,7 +118,7 @@ TEST(WorldJournal, WalksPastMultipleCorruptTailsByChecksum) {
   const std::string dir = fresh_dir("journal_multi");
   {
     WorldStore store(city_init());
-    store.enable_journal(JournalOptions{dir});
+    store.enable_journal(dir);
     (void)store.publish(store.current()->recipe());
     (void)store.publish(store.current()->recipe());
   }
@@ -145,7 +145,7 @@ TEST(WorldJournal, ManifestNamingAMissingFileFallsBackToTheScan) {
   const std::string dir = fresh_dir("journal_badmanifest");
   {
     WorldStore store(city_init());
-    store.enable_journal(JournalOptions{dir});
+    store.enable_journal(dir);
     (void)store.publish(store.current()->recipe());
   }
   std::ofstream(dir + "/MANIFEST") << "world-99.scsnap\n";
@@ -168,16 +168,17 @@ TEST(WorldJournal, MissingOrEmptyDirectoryYieldsNullWorld) {
 TEST(WorldJournal, DurablePersistFailureAbortsThePublish) {
   const std::string dir = fresh_dir("journal_failure");
   WorldStore store(city_init());
-  store.enable_journal(JournalOptions{dir});
+  store.enable_journal(dir);
 
-  // Yank the directory out from under the journal: the next durable
-  // publish cannot persist, so it must not become visible and must not
+  // Yank the directory out from under the journal: the next publish
+  // cannot persist, so it must not become visible and must not
   // consume the version number.
   fs::remove_all(dir);
   std::ofstream(dir) << "not a directory";
   EXPECT_THROW((void)store.publish(store.current()->recipe()),
                SnapshotError);
   EXPECT_EQ(store.version(), 1u);
+  EXPECT_EQ(store.journal_state().persist_failures, 1u);
 
   // With the directory back, the retry gets the version the failed
   // attempt would have had.
@@ -193,7 +194,7 @@ TEST(WorldJournal, EnableJournalRejectsAnUncreatableDirectory) {
   std::ofstream(blocker) << "x";
   WorldStore store(city_init());
   EXPECT_THROW(
-      store.enable_journal(JournalOptions{blocker + "/nested"}),
+      store.enable_journal(blocker + "/nested"),
       SnapshotError);
   EXPECT_FALSE(store.journal_state().enabled);
 }

@@ -47,10 +47,14 @@ class JsonChecker {
     return false;
   }
 
+  /// RFC 8259 §7: bytes below 0x20 must be escaped inside a string.
   bool string() {
     if (!consume('"')) return false;
     while (pos_ < text_.size() && text_[pos_] != '"') {
       if (text_[pos_] == '\\') ++pos_;  // skip the escaped character
+      if (pos_ < text_.size() &&
+          static_cast<unsigned char>(text_[pos_]) < 0x20)
+        return false;
       ++pos_;
     }
     return pos_ < text_.size() && text_[pos_++] == '"';

@@ -146,12 +146,13 @@ TEST(QueryLogTest, EscapesHostileStringsIntoValidJson) {
   QueryLog log(sink);
   QueryRecord record = sample_record(0);
   record.status = "error";
-  record.error = "bad \"query\"\nwith \\ and\ttabs";
+  record.error = "bad \"query\"\nwith \\ and\ttabs, \x1f" "x";
   log.write(record);
 
   const auto lines = lines_of(sink.str());
   ASSERT_EQ(lines.size(), 1u);  // the embedded newline must be escaped
   EXPECT_TRUE(test::json_parses(lines[0])) << lines[0];
+  EXPECT_NE(lines[0].find("\\u001fx"), std::string::npos) << lines[0];
 }
 
 TEST(QueryLogTest, FileConstructorThrowsOnUnwritablePath) {

@@ -427,7 +427,7 @@ TEST_F(ServeServiceTest, MetricsEndpointEmitsPrometheusText) {
   const HttpResponse response =
       service_.handle(make_request("GET", "/metrics"));
   ASSERT_EQ(response.status, 200);
-  EXPECT_NE(response.body.find("serve_plans"), std::string::npos);
+  EXPECT_NE(response.body.find("mlc_queries"), std::string::npos);
   ASSERT_FALSE(response.headers.empty());
   EXPECT_NE(response.headers[0].second.find("text/plain"),
             std::string::npos);

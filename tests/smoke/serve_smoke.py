@@ -31,11 +31,10 @@ with Server(args.cli, "serve", "--http-workers", "4", "--trace",
 check(any(line.startswith("drained:") for line in output.splitlines()),
       "no drained: line after SIGTERM")
 
-check(any(line.startswith("serve_plans") for line in metrics),
-      "/metrics has no serve_plans series")
 # Requests are counted once, by endpoint and status.
-check(any(line.startswith("serve_requests{") for line in metrics),
-      "/metrics has no serve_requests{...} series")
+check(any(line.startswith('serve_requests{endpoint="/plan",status="200"}')
+          for line in metrics),
+      '/metrics has no serve_requests{endpoint="/plan",status="200"} series')
 
 report = json.load(open("BENCH_serve.json"))
 values = {(s["name"], json.dumps(s["labels"], sort_keys=True)): s["value"]

@@ -43,7 +43,7 @@ std::string write_sample(const std::string& name,
   SnapshotWriter writer(version);
   writer.add_array<std::uint32_t>(kNodes, 0, ids);
   writer.add_array<double>(kPanel, 0, weights);
-  writer.write_file(path, WriteOptions{/*durable=*/false});
+  writer.write_file(path);
   return path;
 }
 
