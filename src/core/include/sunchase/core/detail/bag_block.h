@@ -9,9 +9,16 @@
 // target, and an SSE2 form. SSE2 is part of the x86-64 baseline, so the
 // SSE2 form needs no compiler flag; `block` names the form the kernel
 // calls. tests/core/test_bag_block.cpp checks that the two agree.
+//
+// BagBounds holds a bag's running extremes and applies the same
+// comparisons to them; when they clear the bound they clear every row,
+// so the kernel skips that pass over the bag with the same answer.
 #pragma once
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
+#include <limits>
 
 #if defined(__SSE2__)
 #include <emmintrin.h>
@@ -66,6 +73,52 @@ struct Candidate {
     c.shade_merge = scale * c.shade + kCriteriaEpsilon;
     c.energy_merge = scale * c.energy + kCriteriaEpsilon;
     return c;
+  }
+};
+
+/// Running extremes over every row a bag has held: the largest travel
+/// time, the smallest shaded time and the smallest energy. Every live
+/// row lies within them, so a candidate that a row predicate's
+/// comparison clears against the bound is cleared by every row:
+///  - no_row_stops: each row is worse than the candidate in shaded time
+///    or in energy (row > cost + kCriteriaEpsilon, and with `merge`
+///    also row > (1 + epsilon) * cost + kCriteriaEpsilon), so
+///    reject_rows (and merge_rows) is 0 on every block;
+///  - no_row_dominated: the candidate is slower than every row
+///    (cost > row + kCriteriaEpsilon), so dominated_rows is 0.
+/// A NaN row makes the bound it enters NaN for good, and every test
+/// against a NaN bound is false. Dropping rows leaves the bounds looser
+/// than the live rows' extremes, never wrong.
+struct BagBounds {
+  double max_time = -std::numeric_limits<double>::infinity();
+  double min_shade = std::numeric_limits<double>::infinity();
+  double min_energy = std::numeric_limits<double>::infinity();
+
+  void add(double time, double shade, double energy) noexcept {
+    // std::max and std::min keep a NaN bound but pass over a NaN row. A
+    // NaN row makes the sum NaN; only then is each criterion tested.
+    max_time = std::max(max_time, time);
+    min_shade = std::min(min_shade, shade);
+    min_energy = std::min(min_energy, energy);
+    if (std::isnan(time + shade + energy)) [[unlikely]] {
+      if (std::isnan(time)) max_time = time;
+      if (std::isnan(shade)) min_shade = shade;
+      if (std::isnan(energy)) min_energy = energy;
+    }
+  }
+
+  [[nodiscard]] bool no_row_stops(const Candidate& c,
+                                  bool merge) const noexcept {
+    const bool none_reject =
+        (c.shade_hi < min_shade) | (c.energy_hi < min_energy);
+    if (!merge) return none_reject;
+    const bool none_merge =
+        (c.shade_merge < min_shade) | (c.energy_merge < min_energy);
+    return none_reject & none_merge;
+  }
+
+  [[nodiscard]] bool no_row_dominated(const Candidate& c) const noexcept {
+    return c.time > max_time + kCriteriaEpsilon;
   }
 };
 

@@ -1,15 +1,16 @@
 // Versioned publication point for world snapshots — the server-side
-// half of the live-update story. `current()` is a lock-free-for-readers
-// atomic shared_ptr load: a query pins the snapshot it starts on by
-// copying the pointer. `publish()` builds the next version and swaps it
-// in atomically: queries already running keep their pinned snapshot
+// half of the live-update story. `current()` copies the latest
+// snapshot's pointer under a mutex of its own: a query pins the
+// snapshot it starts on by holding that copy. `publish()` builds and
+// persists the next version without that mutex, then takes it only to
+// swap the pointer: queries already running keep their pinned snapshot
 // (its refcount keeps it alive), queries arriving after the swap see
 // the new one, and no reader ever observes a half-built world. This is
-// the MVCC-snapshot pattern (cf. couchbase-lite-core): writers never
-// block readers, readers never block writers.
+// the MVCC-snapshot pattern (cf. couchbase-lite-core): a reader waits
+// at most for another pointer copy or swap, never for a world build or
+// a journal write.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <deque>
 #include <memory>
@@ -65,10 +66,12 @@ class WorldStore {
   WorldStore(const WorldStore&) = delete;
   WorldStore& operator=(const WorldStore&) = delete;
 
-  /// The latest published snapshot. Wait-free for readers; call once
-  /// per query and keep the returned pointer — that is the pin.
+  /// The latest published snapshot: a short critical section around
+  /// one pointer copy. Call once per query and keep the returned
+  /// pointer — that is the pin.
   [[nodiscard]] WorldPtr current() const noexcept {
-    return current_.load(std::memory_order_acquire);
+    const std::lock_guard<std::mutex> lock(current_mutex_);
+    return current_;
   }
 
   /// Version of the latest published snapshot.
@@ -78,7 +81,8 @@ class WorldStore {
 
   /// Builds `next` as a new World with the next version number and
   /// swaps it in atomically. Concurrent publishers are serialized
-  /// (versions stay dense and monotonic); readers are never blocked.
+  /// (versions stay dense and monotonic); readers wait only for the
+  /// pointer swap, never for the build or the journal write.
   /// With a journal enabled the version is first written durably to
   /// the journal; a persist failure throws common::SnapshotError and
   /// aborts the publish (readers keep the old version, and the version
@@ -122,7 +126,10 @@ class WorldStore {
   /// Caller holds publish_mutex_. Throws common::SnapshotError.
   void persist_locked(const WorldPtr& world);
 
-  std::atomic<WorldPtr> current_;
+  /// The latest snapshot, guarded by current_mutex_ alone: never held
+  /// across a build or a persist, so readers never wait for either.
+  WorldPtr current_;
+  mutable std::mutex current_mutex_;
   std::uint64_t next_version_;   ///< guarded by publish_mutex_
   /// Serializes publishers (and journal persists) only.
   mutable std::mutex publish_mutex_;

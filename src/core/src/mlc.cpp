@@ -63,10 +63,12 @@ struct Label {
 
 /// One node's bag: its live labels' costs and arena indices in creation
 /// order, four rows to a block (detail/bag_block.h); `blocks` always
-/// holds ceil(size / 4) blocks.
+/// holds ceil(size / 4) blocks. `bounds` covers every row ever pushed;
+/// a compaction leaves it as it was.
 struct Bag {
   std::vector<detail::BagBlock> blocks;
   std::uint32_t size = 0;
+  detail::BagBounds bounds;
 
   /// Valid-lane mask of block `b`: all four lanes but in the last block.
   [[nodiscard]] unsigned valid(std::size_t b) const noexcept {
@@ -96,6 +98,7 @@ struct Bag {
     b.shade[lane] = cost.shaded_time.value();
     b.energy[lane] = cost.energy_out.value();
     b.label[lane] = label;
+    bounds.add(b.time[lane], b.shade[lane], b.energy[lane]);
     ++size;
   }
 };
@@ -107,14 +110,17 @@ struct Bag {
 /// is the first stopping row in creation order, so `dominance_checks`
 /// and `labels_merged_epsilon` count what a row-by-row scan would. The
 /// "candidate dominates a row" test runs only for accepted candidates,
-/// and the compaction is stable, so the bag keeps creation order.
+/// and the compaction is stable, so the bag keeps creation order. Each
+/// pass is skipped when the bag's bounds show that it would find no
+/// row; the counts are the same as if it had run.
 template <bool Merge>
 bool admit(Bag& bag, const detail::Candidate& c, std::vector<Label>& arena,
            MlcStats& stats) {
   namespace block = detail::block;
   const std::size_t blocks = (bag.size + 3) / 4;
+  const std::size_t scan = bag.bounds.no_row_stops(c, Merge) ? 0 : blocks;
   // Two blocks per step, so one branch decides eight rows.
-  for (std::size_t b = 0; b < blocks; b += 2) {
+  for (std::size_t b = 0; b < scan; b += 2) {
     const detail::BagBlock* at = &bag.blocks[b];
     const bool pair = b + 1 < blocks;
     unsigned rejects = block::reject_rows(at[0], c, bag.valid(b));
@@ -134,6 +140,7 @@ bool admit(Bag& bag, const detail::Candidate& c, std::vector<Label>& arena,
     return false;
   }
   stats.dominance_checks += bag.size;
+  if (bag.bounds.no_row_dominated(c)) return true;
 
   // The first block holding a row the candidate dominates, if any.
   std::size_t b = 0;

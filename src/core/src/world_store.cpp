@@ -58,15 +58,15 @@ WorldStore::WorldStore(WorldInit initial)
 WorldStore::WorldStore(WorldPtr initial) {
   if (!initial) throw InvalidArgument("WorldStore: null initial world");
   next_version_ = initial->version() + 1;
-  current_.store(initial, std::memory_order_release);
+  current_ = initial;
   remember(initial);
 }
 
 WorldPtr WorldStore::publish(WorldInit next) {
-  // Build outside the swap: a slow construction (solar map, caches)
-  // must never make readers wait. Only the version counter, the
-  // journal persist, and the final pointer swap are serialized across
-  // publishers.
+  // Build and persist outside current_mutex_: a slow construction
+  // (solar map, caches) or journal write must never make readers wait.
+  // Only the version counter, the journal persist, and the final
+  // pointer swap are serialized across publishers.
   std::lock_guard<std::mutex> lock(publish_mutex_);
   const std::uint64_t version = next_version_;
   WorldPtr world = World::create(std::move(next), version);
@@ -85,7 +85,13 @@ WorldPtr WorldStore::publish(WorldInit next) {
     }
   }
   next_version_ = version + 1;
-  current_.store(world, std::memory_order_release);
+  // The old version may lose its last reference with the swap: release
+  // it after the readers' lock, not under it.
+  WorldPtr previous;
+  {
+    const std::lock_guard<std::mutex> swap(current_mutex_);
+    previous = std::exchange(current_, world);
+  }
   remember(world);
   obs::Registry::global().gauge("world.version").set(
       static_cast<double>(version));

@@ -117,13 +117,16 @@ inline const core::WorldPtr& paper_world() {
   return snapshot;
 }
 
-/// Enumerates every simple path origin->destination (DFS) and prices it
-/// with *static* edge criteria at `departure`, then filters to the
-/// Pareto frontier. Ground truth for MLC with time_dependent = false.
+/// Enumerates every simple path origin->destination (DFS), prices it,
+/// then filters to the Pareto frontier. By default every edge is priced
+/// at `departure` (static criteria): ground truth for MLC with
+/// time_dependent = false. With `time_dependent`, each edge is priced at
+/// the departure advanced by the path's travel time so far, the label
+/// loop's own clock under exact pricing.
 inline std::vector<core::ParetoRoute> brute_force_pareto(
     const solar::SolarInputMap& map, const ev::ConsumptionModel& vehicle,
-    roadnet::NodeId origin, roadnet::NodeId destination,
-    TimeOfDay departure) {
+    roadnet::NodeId origin, roadnet::NodeId destination, TimeOfDay departure,
+    bool time_dependent = false) {
   const auto& graph = map.graph();
   std::vector<core::ParetoRoute> all;
   std::vector<roadnet::EdgeId> stack;
@@ -140,7 +143,10 @@ inline std::vector<core::ParetoRoute> brute_force_pareto(
           const roadnet::NodeId v = graph.edge(e).to;
           if (visited[v]) continue;
           stack.push_back(e);
-          dfs(v, cost + core::detail::price_edge(map, vehicle, e, departure)
+          const TimeOfDay entry =
+              time_dependent ? departure.advanced_by(cost.travel_time)
+                             : departure;
+          dfs(v, cost + core::detail::price_edge(map, vehicle, e, entry)
                             .criteria);
           stack.pop_back();
         }

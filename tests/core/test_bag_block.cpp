@@ -4,6 +4,8 @@
 // target has it, gives the scalar form's masks; and a scan over blocks
 // stops at the row the row-by-row rule stops at, after reading as many
 // rows (the kernel's dominance_checks), merging exactly when it merges.
+// A bag's BagBounds may skip a pass only when that pass would find no
+// row, and where one criterion alone decides, exactly then.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -117,8 +119,41 @@ Scan block_scan(const std::vector<Criteria>& rows, const Criteria& cost,
   return scan;
 }
 
+/// The bounds a bag holding `rows` keeps: each row added once.
+BagBounds bounds_of(const std::vector<Criteria>& rows) {
+  BagBounds bounds;
+  for (const Criteria& row : rows)
+    bounds.add(row.travel_time.value(), row.shaded_time.value(),
+               row.energy_out.value());
+  return bounds;
+}
+
+/// Whether the kernel's dominated-row pass would drop any of `rows`.
+bool any_dominated(const std::vector<Criteria>& rows, const Criteria& cost) {
+  const std::vector<BagBlock> blocks = blocks_of(rows);
+  const Candidate c = Candidate::of(cost, 0.0);
+  for (std::size_t b = 0; b < blocks.size(); ++b)
+    if (block::dominated_rows(blocks[b], c, valid_lanes(rows.size(), b)) != 0)
+      return true;
+  return false;
+}
+
+/// A shortcut taken only where the pass it skips finds nothing.
+void expect_sound(const BagBounds& bounds, const std::vector<Criteria>& rows,
+                  const Criteria& cost, double epsilon,
+                  const std::string& what) {
+  const Candidate c = Candidate::of(cost, epsilon);
+  if (bounds.no_row_stops(c, epsilon > 0.0)) {
+    EXPECT_FALSE(block_scan(rows, cost, epsilon).stopped) << what;
+  }
+  if (bounds.no_row_dominated(c)) {
+    EXPECT_FALSE(any_dominated(rows, cost)) << what;
+  }
+}
+
 /// Both forms on every block of `rows` against `cost`, lane by lane
-/// against criteria.h, and the block scan against the row scan.
+/// against criteria.h, the block scan against the row scan, and the
+/// bag's bounds against both passes.
 void expect_agree(const std::vector<Criteria>& rows, const Criteria& cost,
                   double epsilon, const std::string& what) {
   const std::vector<BagBlock> blocks = blocks_of(rows);
@@ -153,6 +188,7 @@ void expect_agree(const std::vector<Criteria>& rows, const Criteria& cost,
   EXPECT_EQ(by_blocks.checks, by_rows.checks) << what;
   EXPECT_EQ(by_blocks.stopped, by_rows.stopped) << what;
   EXPECT_EQ(by_blocks.merged, by_rows.merged) << what;
+  expect_sound(bounds_of(rows), rows, cost, epsilon, what);
 }
 
 const Criteria kCost = make(100.0, 50.0, 10.0);
@@ -326,6 +362,197 @@ TEST(BagBlock, EveryOffsetCombinationAndNaN) {
   const std::vector<Criteria> bag = {kPasses, kDominated, kCost};
   for (const double epsilon : {0.0, 0.05})
     expect_agree(bag, nan_cost, epsilon, "NaN candidate");
+}
+
+/// Rows spread over three blocks, ragged last block. Extremes: time 130
+/// (row 5), shade 20 (row 2), energy 4 (row 8).
+const std::vector<Criteria> kBag = {
+    make(100.0, 60.0, 9.0),  make(110.0, 45.0, 7.0), make(120.0, 20.0, 12.0),
+    make(90.0, 70.0, 5.0),   make(105.0, 33.0, 8.0), make(130.0, 25.0, 6.0),
+    make(95.0, 50.0, 11.0),  make(115.0, 40.0, 10.0), make(125.0, 80.0, 4.0)};
+
+/// Candidate values around where `bound` (a row value) stops clearing:
+/// just clear of the tolerance, on it and just inside it, both sides.
+std::vector<double> around(double bound) {
+  const double below = bound - kCriteriaEpsilon;
+  const double above = bound + kCriteriaEpsilon;
+  return {2 * below - bound, std::nextafter(below, 0.0), below,
+          std::nextafter(below, 1e9), bound, above, std::nextafter(above, 1e9),
+          2 * above - bound};
+}
+
+TEST(BagBlock, RejectShortcutFiresExactlyWhenNoRowStopsInShadeOrEnergy) {
+  // A candidate slower and hungrier than every row: only shade (or only
+  // energy) can clear a row, so the bound decides exactly.
+  const BagBounds bounds = bounds_of(kBag);
+  EXPECT_EQ(bounds.max_time, 130.0);
+  EXPECT_EQ(bounds.min_shade, 20.0);
+  EXPECT_EQ(bounds.min_energy, 4.0);
+  for (const double epsilon : {0.0, 0.05}) {
+    std::size_t fired = 0;
+    std::size_t scanned = 0;
+    for (const bool by_shade : {true, false}) {
+      const double bound = by_shade ? bounds.min_shade : bounds.min_energy;
+      for (const double v : around(bound / (1.0 + epsilon))) {
+        const Criteria cost =
+            by_shade ? make(500.0, v, 500.0) : make(500.0, 500.0, v);
+        const bool skip =
+            bounds.no_row_stops(Candidate::of(cost, epsilon), epsilon > 0.0);
+        EXPECT_EQ(skip, !block_scan(kBag, cost, epsilon).stopped)
+            << (by_shade ? "shade " : "energy ") << v << " eps " << epsilon;
+        (skip ? fired : scanned) += 1;
+      }
+    }
+    EXPECT_GT(fired, 0u) << epsilon;
+    EXPECT_GT(scanned, 0u) << epsilon;
+  }
+  // At epsilon 0: two tolerances below the row clear it, on it is a tie.
+  const double min_shade = bounds.min_shade;
+  EXPECT_TRUE(bounds.no_row_stops(
+      Candidate::of(make(500.0, min_shade - 2 * kCriteriaEpsilon, 500.0), 0.0),
+      false));
+  EXPECT_FALSE(bounds.no_row_stops(
+      Candidate::of(make(500.0, min_shade, 500.0), 0.0), false));
+}
+
+TEST(BagBlock, MergeShortcutNeedsBothBoundsClear) {
+  // Just under the shade bound at epsilon 0 but within 5 % of it: the
+  // reject test clears, the merge test does not, and row 2 merges.
+  const BagBounds bounds = bounds_of(kBag);
+  const Criteria cost = make(500.0, 19.5, 500.0);
+  const Candidate exact = Candidate::of(cost, 0.0);
+  const Candidate relaxed = Candidate::of(cost, 0.05);
+  EXPECT_TRUE(bounds.no_row_stops(exact, false));
+  EXPECT_FALSE(block_scan(kBag, cost, 0.0).stopped);
+  EXPECT_TRUE(bounds.no_row_stops(relaxed, false));
+  EXPECT_FALSE(bounds.no_row_stops(relaxed, true));
+  const Scan merged = block_scan(kBag, cost, 0.05);
+  EXPECT_TRUE(merged.merged);
+  EXPECT_EQ(merged.checks, 3u);
+}
+
+TEST(BagBlock, DominatedShortcutFiresExactlyWhenNoRowIsDominated) {
+  // A candidate better than every row in shade and energy: only travel
+  // time can keep a row, so the bound decides exactly.
+  const BagBounds bounds = bounds_of(kBag);
+  std::size_t fired = 0;
+  std::size_t scanned = 0;
+  for (const double time : around(bounds.max_time)) {
+    const Criteria cost = make(time, 1.0, 1.0);
+    const bool skip = bounds.no_row_dominated(Candidate::of(cost, 0.0));
+    EXPECT_EQ(skip, !any_dominated(kBag, cost)) << time;
+    (skip ? fired : scanned) += 1;
+  }
+  EXPECT_EQ(fired, 2u);  // one ulp and one tolerance past it
+  EXPECT_EQ(scanned, 6u);
+  const double past = std::nextafter(bounds.max_time + kCriteriaEpsilon, 1e9);
+  EXPECT_TRUE(bounds.no_row_dominated(Candidate::of(make(past, 1, 1), 0.0)));
+  EXPECT_FALSE(bounds.no_row_dominated(
+      Candidate::of(make(bounds.max_time + kCriteriaEpsilon, 1, 1), 0.0)));
+}
+
+TEST(BagBlock, NaNRowDisablesItsBoundForGood) {
+  // A NaN criterion compares false, so the row never counts as worse in
+  // it: it stops a scan, or is dominated, where the bound alone would
+  // have skipped the pass.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const Criteria rejected_by_shade = make(500.0, 10.0, 500.0);
+  const Criteria rejected_by_energy = make(500.0, 500.0, 2.0);
+  const Criteria kills_by_time = make(200.0, 1.0, 1.0);
+  struct Case {
+    const char* criterion;
+    Criteria nan_row;
+    Criteria cost;
+  };
+  const Case cases[] = {
+      {"shade", make(100.0, nan, 3.0), rejected_by_shade},
+      {"energy", make(100.0, 10.0, nan), rejected_by_energy},
+      {"time", make(nan, 30.0, 6.0), kills_by_time},
+  };
+  for (const Case& k : cases) {
+    const std::string what = k.criterion;
+    const Candidate c = Candidate::of(k.cost, 0.0);
+    std::vector<Criteria> rows = kBag;
+    const BagBounds clean = bounds_of(rows);
+    rows.insert(rows.begin() + 4, k.nan_row);
+    // More rows after the NaN row leave the bound NaN.
+    rows.push_back(make(80.0, 15.0, 3.0));
+    const BagBounds poisoned = bounds_of(rows);
+    if (what == "time") {
+      EXPECT_TRUE(clean.no_row_dominated(c)) << what;
+      EXPECT_TRUE(std::isnan(poisoned.max_time)) << what;
+      EXPECT_FALSE(poisoned.no_row_dominated(c)) << what;
+      EXPECT_TRUE(any_dominated(rows, k.cost)) << what;
+    } else {
+      EXPECT_TRUE(clean.no_row_stops(c, false)) << what;
+      EXPECT_TRUE(std::isnan(what == "shade" ? poisoned.min_shade
+                                             : poisoned.min_energy))
+          << what;
+      EXPECT_FALSE(poisoned.no_row_stops(c, false)) << what;
+      EXPECT_FALSE(poisoned.no_row_stops(Candidate::of(k.cost, 0.05), true))
+          << what;
+      const Scan scan = block_scan(rows, k.cost, 0.0);
+      EXPECT_TRUE(scan.stopped) << what;
+      EXPECT_EQ(scan.checks, 5u) << what;
+    }
+    for (const double epsilon : {0.0, 0.05})
+      expect_agree(rows, k.cost, epsilon, "NaN " + what);
+  }
+}
+
+TEST(BagBlock, BoundsLeftByACompactionAreLooseNotWrong) {
+  // The kernel keeps a bag's bounds through a compaction. Dropping the
+  // rows that set them leaves every bound looser than the live rows'
+  // extremes: the shortcuts fire less often, never wrongly.
+  std::vector<Criteria> rows = kBag;
+  const BagBounds stale = bounds_of(rows);
+  rows.erase(rows.begin() + 8);  // energy 4
+  rows.erase(rows.begin() + 5);  // time 130
+  rows.erase(rows.begin() + 2);  // shade 20
+  const BagBounds tight = bounds_of(rows);
+  EXPECT_EQ(tight.max_time, 115.0);
+  EXPECT_EQ(tight.min_shade, 33.0);
+  EXPECT_EQ(tight.min_energy, 5.0);
+  std::size_t stale_skips = 0;
+  std::size_t tight_skips = 0;
+  for (const double time : {100.0, 120.0, 140.0})
+    for (const double shade : {10.0, 25.0, 40.0})
+      for (const double energy : {3.0, 4.5, 8.0})
+        for (const double epsilon : {0.0, 0.05}) {
+          const Criteria cost = make(time, shade, energy);
+          const Candidate c = Candidate::of(cost, epsilon);
+          const bool merge = epsilon > 0.0;
+          const std::string what = std::to_string(time) + "," +
+                                   std::to_string(shade) + "," +
+                                   std::to_string(energy);
+          expect_sound(stale, rows, cost, epsilon, "stale " + what);
+          expect_sound(tight, rows, cost, epsilon, "tight " + what);
+          // Whatever the stale bounds skip, the tight ones skip too.
+          if (stale.no_row_stops(c, merge)) {
+            EXPECT_TRUE(tight.no_row_stops(c, merge)) << what;
+          }
+          if (stale.no_row_dominated(c)) {
+            EXPECT_TRUE(tight.no_row_dominated(c)) << what;
+          }
+          stale_skips += stale.no_row_stops(c, merge) ? 1u : 0u;
+          stale_skips += stale.no_row_dominated(c) ? 1u : 0u;
+          tight_skips += tight.no_row_stops(c, merge) ? 1u : 0u;
+          tight_skips += tight.no_row_dominated(c) ? 1u : 0u;
+        }
+  EXPECT_GT(stale_skips, 0u);
+  EXPECT_GT(tight_skips, stale_skips);
+}
+
+TEST(BagBlock, EmptyBagSkipsBothPasses) {
+  const BagBounds empty;
+  const Candidate c = Candidate::of(kCost, 0.05);
+  EXPECT_TRUE(empty.no_row_stops(c, true));
+  EXPECT_TRUE(empty.no_row_dominated(c));
+  // A NaN candidate compares false with any bound: no shortcut.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const Candidate n = Candidate::of(make(nan, nan, nan), 0.0);
+  EXPECT_FALSE(empty.no_row_stops(n, false));
+  EXPECT_FALSE(empty.no_row_dominated(n));
 }
 
 }  // namespace

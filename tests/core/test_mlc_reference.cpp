@@ -20,6 +20,7 @@
 #include "core_fixture.h"
 #include "sunchase/common/error.h"
 #include "sunchase/common/rng.h"
+#include "sunchase/core/detail/bag_block.h"
 #include "sunchase/core/dijkstra.h"
 #include "sunchase/core/mlc.h"
 #include "sunchase/core/slot_cost_cache.h"
@@ -42,7 +43,8 @@ bool reference_dominates(const Criteria& a, const Criteria& b) {
 
 /// What the reference loop's own bags went through: the shapes at which
 /// the kernel's four-row blocks have a partial last block or compact
-/// across block boundaries.
+/// across block boundaries, and the accepted inserts whose bag bounds
+/// (detail::BagBounds, kept as the kernel keeps them) skip each pass.
 struct BagShapes {
   /// Accepted inserts into a bag of more than 4 rows whose size is not
   /// a multiple of 4: the whole bag, ragged last block included, was
@@ -51,11 +53,23 @@ struct BagShapes {
   /// Inserts that dropped dominated rows from a bag of more than 4 rows.
   std::size_t multi_block_compactions = 0;
   std::size_t largest_bag = 0;
+  /// Accepted inserts into a non-empty bag whose bounds skip the reject
+  /// scan, and those that scan.
+  std::size_t reject_scans_skipped = 0;
+  std::size_t reject_scans_run = 0;
+  /// Accepted inserts into a non-empty bag whose bounds skip the
+  /// dominated-row pass, and those that run it.
+  std::size_t dominated_passes_skipped = 0;
+  std::size_t dominated_passes_run = 0;
 
   void add(const BagShapes& query) {
     ragged_inserts += query.ragged_inserts;
     multi_block_compactions += query.multi_block_compactions;
     largest_bag = std::max(largest_bag, query.largest_bag);
+    reject_scans_skipped += query.reject_scans_skipped;
+    reject_scans_run += query.reject_scans_run;
+    dominated_passes_skipped += query.dominated_passes_skipped;
+    dominated_passes_run += query.dominated_passes_run;
   }
 };
 
@@ -105,9 +119,12 @@ MlcResult reference_search(const WorldPtr& world, const MlcOptions& options,
 
   std::vector<Label> arena;
   std::vector<std::vector<std::uint32_t>> bags(graph.node_count());
+  // Every row each bag ever held, as the kernel's bounds cover them.
+  std::vector<detail::BagBounds> bounds(graph.node_count());
   std::priority_queue<QueueEntry, std::vector<QueueEntry>, LexGreater> queue;
   arena.push_back(Label{Criteria{}, origin, roadnet::kInvalidEdge, -1, true});
   bags[origin].push_back(0);
+  bounds[origin].add(0.0, 0.0, 0.0);
   queue.push(QueueEntry{Criteria{}, 0});
   result.stats.labels_created = 1;
 
@@ -144,7 +161,18 @@ MlcResult reference_search(const WorldPtr& world, const MlcOptions& options,
       if (scanned > 4 && scanned % 4 != 0) ++shapes->ragged_inserts;
       if (scanned > 4 && dropped > 0) ++shapes->multi_block_compactions;
       shapes->largest_bag = std::max(shapes->largest_bag, bag.size());
+      if (scanned > 0) {
+        const detail::Candidate c =
+            detail::Candidate::of(cost, options.epsilon);
+        ++(bounds[v].no_row_stops(c, options.epsilon > 0.0)
+               ? shapes->reject_scans_skipped
+               : shapes->reject_scans_run);
+        ++(bounds[v].no_row_dominated(c) ? shapes->dominated_passes_skipped
+                                         : shapes->dominated_passes_run);
+      }
     }
+    bounds[v].add(cost.travel_time.value(), cost.shaded_time.value(),
+                  cost.energy_out.value());
     queue.push(QueueEntry{cost, idx});
   };
 
@@ -358,6 +386,12 @@ void expect_exercised(const Coverage& c) {
   EXPECT_GT(c.bags.ragged_inserts, 0u);
   EXPECT_GT(c.bags.multi_block_compactions, 0u);
   EXPECT_GE(c.bags.largest_bag, 8u);
+  // The kernel skips each pass over a bag when its bounds clear the
+  // candidate: both branches of both shortcuts must run.
+  EXPECT_GT(c.bags.reject_scans_skipped, 0u);
+  EXPECT_GT(c.bags.reject_scans_run, 0u);
+  EXPECT_GT(c.bags.dominated_passes_skipped, 0u);
+  EXPECT_GT(c.bags.dominated_passes_run, 0u);
 }
 
 TEST(MlcReference, ReferenceMatchesBruteForce) {
